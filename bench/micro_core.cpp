@@ -1,15 +1,18 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // estimator updates, the tuning formulas, event-queue churn, network send,
-// and a full Raft heartbeat round trip.
+// the commit-path byte work (checker fingerprint, KV snapshot), and a full
+// Raft heartbeat round trip.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "kvstore/command.hpp"
+#include "kvstore/state_machine.hpp"
 #include "dynatune/loss_estimator.hpp"
 #include "dynatune/rtt_estimator.hpp"
 #include "dynatune/tuning.hpp"
 #include "net/network.hpp"
+#include "raft/invariant_checker.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -259,6 +262,49 @@ void BM_NetworkResetForTrial(benchmark::State& state) {
                           static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_NetworkResetForTrial)->Arg(5)->Arg(32)->Arg(64);
+
+/// A PUT with a 64-1024 byte value, as the closed-loop write workloads send.
+std::string random_put(Rng& rng, std::size_t key) {
+  std::string value(64 + static_cast<std::size_t>(rng.uniform_index(961)), '\0');
+  for (char& c : value) c = static_cast<char>('a' + rng.uniform_index(26));
+  return kv::encode({kv::Op::Put, "key-" + std::to_string(key), std::move(value), {}});
+}
+
+void BM_InvariantCheckerApply(benchmark::State& state) {
+  // The checker's per-commit work: 5 replicas each apply one group-commit
+  // entry of 32 PUTs (~18 KB), and every replica fingerprints the bytes it
+  // holds against the commit table.
+  constexpr int kReplicas = 5;
+  Rng rng(3);
+  raft::LogEntry entry;
+  entry.term = 2;
+  for (std::size_t i = 0; i < 32; ++i) kv::batch_append(entry.command.payload, random_put(rng, i));
+  raft::InvariantChecker chk;
+  for (auto _ : state) {
+    ++entry.index;
+    for (NodeId node = 0; node < kReplicas; ++node) chk.on_entry_committed(node, entry, {});
+  }
+  if (!chk.ok()) state.SkipWithError("checker flagged a healthy history");
+  state.SetBytesProcessed(state.iterations() * kReplicas *
+                          static_cast<std::int64_t>(entry.command.payload.size()));
+}
+BENCHMARK(BM_InvariantCheckerApply);
+
+void BM_KvSnapshot(benchmark::State& state) {
+  // Serializing a 10k-key store (64-1024 byte values, ~5.5 MB), as every
+  // snapshot compaction on the write path does.
+  Rng rng(5);
+  kv::KvStateMachine sm;
+  for (std::size_t k = 0; k < 10000; ++k) sm.apply(random_put(rng, k));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = sm.snapshot();
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_KvSnapshot)->Unit(benchmark::kMillisecond);
 
 void BM_ClusterHeartbeatSecond(benchmark::State& state) {
   // One simulated second of idle n-server cluster traffic (heartbeats,

@@ -520,9 +520,17 @@ std::uint64_t Cluster::audit_invariants() {
                         [&](const raft::LogEntry& e) { checker_.audit_log_entry(id, e); });
     }
   }
+  // Leader completeness holds for the leader of the newest term only. A
+  // deposed leader that resumes mid-election still holds the Leader role at
+  // a stale term, and may legitimately lack entries committed after it.
+  raft::Term max_term = 0;
+  for (const auto& n : nodes_) {
+    if (n && n->running()) max_term = std::max(max_term, n->term());
+  }
   const NodeId leader = current_leader();
   if (leader != kNoNode) {
-    checker_.audit_leader_coverage(leader, nodes_[index_of(leader)]->last_log_index());
+    const raft::RaftNode& l = *nodes_[index_of(leader)];
+    if (l.term() == max_term) checker_.audit_leader_coverage(leader, l.last_log_index());
   }
   for (std::size_t i = 0; i < roster_.size(); ++i) {
     const NodeId id = roster_[i];

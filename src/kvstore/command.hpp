@@ -18,6 +18,8 @@
 // out into per-command client completions.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -56,10 +58,26 @@ struct KvCommandView {
 
 namespace detail {
 
+/// Bytes encode_field appends for a field of `size` bytes.
+[[nodiscard]] inline std::size_t encoded_size(std::size_t size) noexcept {
+  std::size_t digits = 1;
+  for (std::size_t n = size; n >= 10; n /= 10) ++digits;
+  return digits + 1 + size;
+}
+
+/// Write one field at `out`, which must have encoded_size(field.size())
+/// bytes of room; returns the end of what was written.
+inline char* encode_field(char* out, std::string_view field) noexcept {
+  out = std::to_chars(out, out + 20, field.size()).ptr;  // 64-bit decimal always fits
+  *out++ = ':';
+  return std::copy(field.begin(), field.end(), out);
+}
+
+/// Append one field to `out`; `field` must not view into `out`.
 inline void encode_field(std::string& out, std::string_view field) {
-  out += std::to_string(field.size());
-  out += ':';
-  out += field;
+  const std::size_t at = out.size();
+  out.resize(at + encoded_size(field.size()));
+  encode_field(out.data() + at, field);
 }
 
 /// Parse one length-prefixed field as a view into `buf`; advances `pos`.
@@ -158,9 +176,7 @@ inline void batch_append(std::string& frame, std::string_view command_payload) {
 
 /// Bytes batch_append would add to a frame for this member (admission caps).
 [[nodiscard]] inline std::size_t batch_overhead(std::string_view command_payload) noexcept {
-  std::size_t digits = 1;
-  for (std::size_t n = command_payload.size(); n >= 10; n /= 10) ++digits;
-  return command_payload.size() + digits + 1;
+  return detail::encoded_size(command_payload.size());
 }
 
 /// Visit every member payload of a batch frame in order. Returns false (and

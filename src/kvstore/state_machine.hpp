@@ -109,19 +109,40 @@ class KvStateMachine final : public StateMachine {
   /// replica that applied every command and one restored from an earlier
   /// snapshot — equal states must serialize identically.
   [[nodiscard]] std::string snapshot() const override {
-    std::vector<std::string_view> keys;
-    keys.reserve(data_.size());
-    for (const auto& [key, value] : data_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    std::string out;
+    // One pass over the store collects (key, value) entries and the exact
+    // blob size; one sort orders them; the blob is written in place.
+    struct Entry {
+      std::uint64_t prefix;  ///< first 8 key bytes, big-endian, zero-padded
+      std::string_view key;
+      const std::string* value;
+    };
+    std::vector<Entry> entries;
+    entries.reserve(data_.size());
     char rev[24];
     const auto [end, ec] = std::to_chars(rev, rev + sizeof rev, revision_);
     (void)ec;  // 64-bit decimal always fits
-    detail::encode_field(out, std::string_view(rev, end));
-    for (const std::string_view key : keys) {
-      detail::encode_field(out, key);
-      detail::encode_field(out, data_.find(key)->second);
+    const std::string_view rev_field(rev, end);
+    std::size_t bytes = detail::encoded_size(rev_field.size());
+    for (const auto& [key, value] : data_) {
+      std::uint64_t prefix = 0;
+      for (std::size_t i = 0; i < 8; ++i) {
+        prefix = prefix << 8 | (i < key.size() ? static_cast<unsigned char>(key[i]) : 0u);
+      }
+      entries.push_back(Entry{prefix, key, &value});
+      bytes += detail::encoded_size(key.size()) + detail::encoded_size(value.size());
     }
+    // Zero padding sorts below every byte, so prefix order agrees with key
+    // order and most comparisons never touch the keys' memory.
+    std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+      return a.prefix != b.prefix ? a.prefix < b.prefix : a.key < b.key;
+    });
+    std::string out(bytes, '\0');
+    char* p = detail::encode_field(out.data(), rev_field);
+    for (const Entry& e : entries) {
+      p = detail::encode_field(p, e.key);
+      p = detail::encode_field(p, *e.value);
+    }
+    DYNA_ENSURES(p == out.data() + out.size());
     return out;
   }
 

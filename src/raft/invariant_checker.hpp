@@ -22,12 +22,18 @@
 //   * Replicas with equal last_applied must have byte-identical state-machine
 //     serializations (applied-prefix equality).
 //
-// The fingerprint is 64-bit FNV-1a over (term, payload, config-change kind
-// and target) with the low bit forced to 1 so 0 means "unset"; a divergent
-// commit escaping detection needs a 63-bit collision.
+// The fingerprint is a 64-bit word-at-a-time hash over (term, config-change
+// kind and target, payload length, every payload byte): four independent
+// lanes read the payload as 8-byte words (a 1-7 byte tail is zero-padded),
+// then one final mix; the low bit is forced to 1 so 0 means "unset". A
+// divergent commit escaping detection needs a 63-bit collision. Every
+// replica hashes the bytes it holds itself, so a fault in copying or
+// replaying an entry shows up as an apply divergence.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -126,20 +132,44 @@ class InvariantChecker final : public Observer {
 
   /// 64-bit fingerprint of a log entry's identity (exposed for tests).
   [[nodiscard]] static std::uint64_t fingerprint(const LogEntry& entry) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001b3ULL;
-      }
+    const std::string& payload = entry.command.payload;
+    const char* p = payload.data();
+    const std::size_t n = payload.size();
+    const auto target = static_cast<std::int64_t>(entry.command.config_target);
+    // Each identity field seeds its own lane. A round is a bijection of its
+    // input word and of the running lane, so changing one field, or one
+    // payload word at a fixed length, always changes the fingerprint.
+    std::uint64_t lane[4] = {
+        round(kPrime1 + kPrime2, static_cast<std::uint64_t>(entry.term)),
+        round(kPrime2, static_cast<std::uint64_t>(entry.command.config_change)),
+        round(0, static_cast<std::uint64_t>(target)),
+        round(0 - kPrime1, static_cast<std::uint64_t>(n)),
     };
-    mix(static_cast<std::uint64_t>(entry.term));
-    mix(static_cast<std::uint64_t>(entry.command.config_change));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(entry.command.config_target)));
-    for (const char c : entry.command.payload) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ULL;
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+      lane[0] = round(lane[0], load_word(p + i));
+      lane[1] = round(lane[1], load_word(p + i + 8));
+      lane[2] = round(lane[2], load_word(p + i + 16));
+      lane[3] = round(lane[3], load_word(p + i + 24));
     }
+    std::size_t k = 0;
+    for (; i + 8 <= n; i += 8) {
+      lane[k] = round(lane[k], load_word(p + i));
+      ++k;
+    }
+    if (i < n) {
+      // 1-7 byte tail, zero-padded; the length lane tells "a" from "a\0".
+      std::uint64_t tail = 0;
+      std::memcpy(&tail, p + i, n - i);
+      lane[k] = round(lane[k], tail);
+    }
+    std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
+                      std::rotl(lane[3], 18);
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
     return h | 1;
   }
 
@@ -161,6 +191,22 @@ class InvariantChecker final : public Observer {
   void record(std::string what) {
     ++count_;
     if (violations_.size() < kMaxStored) violations_.push_back(Violation{std::move(what)});
+  }
+
+  static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+  static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+  static constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+
+  [[nodiscard]] static std::uint64_t round(std::uint64_t lane, std::uint64_t word) noexcept {
+    return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+  }
+
+  /// Native-endian 8-byte load; memcpy keeps it free of alignment and
+  /// aliasing assumptions (fingerprints are only compared in-process).
+  [[nodiscard]] static std::uint64_t load_word(const char* p) noexcept {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
   }
 
   std::unordered_map<Term, NodeId> leader_by_term_;

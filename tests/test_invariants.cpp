@@ -4,6 +4,9 @@
 // including post-restart replay, which rewinds a node's apply watermark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "cluster/cluster.hpp"
 #include "raft/invariant_checker.hpp"
 #include "test_support.hpp"
@@ -85,6 +88,51 @@ TEST(InvariantChecker, FingerprintCoversTermPayloadAndConfigChange) {
   EXPECT_NE(h, InvariantChecker::fingerprint(payload_diff));
   EXPECT_NE(h, InvariantChecker::fingerprint(cfg_diff));
   EXPECT_EQ(h & 1, 1u);  // 0 is reserved for "unset"
+
+  // Negative config targets (kNoNode is -1) are distinct from each other and
+  // from their magnitudes.
+  LogEntry neg_target = cfg_diff;
+  neg_target.command.config_target = -7;
+  EXPECT_NE(InvariantChecker::fingerprint(cfg_diff), InvariantChecker::fingerprint(neg_target));
+  LogEntry other_neg = cfg_diff;
+  other_neg.command.config_target = -8;
+  EXPECT_NE(InvariantChecker::fingerprint(neg_target), InvariantChecker::fingerprint(other_neg));
+
+  // Trailing zero bytes extend the length, so they count.
+  EXPECT_NE(InvariantChecker::fingerprint(make_entry(1, 3, "")),
+            InvariantChecker::fingerprint(make_entry(1, 3, std::string(1, '\0'))));
+  EXPECT_NE(InvariantChecker::fingerprint(make_entry(1, 3, "a")),
+            InvariantChecker::fingerprint(make_entry(1, 3, std::string("a\0", 2))));
+  EXPECT_NE(InvariantChecker::fingerprint(make_entry(1, 3, "abcdefgh")),
+            InvariantChecker::fingerprint(make_entry(1, 3, std::string("abcdefgh\0", 9))));
+}
+
+TEST(InvariantChecker, FingerprintSeesEveryPayloadByte) {
+  // Lengths 0-80 cross every lane and tail boundary of the 32-byte stride.
+  // A one-bit flip in the low or high bit of any byte must change the
+  // fingerprint; every variant below is a distinct payload, so all of their
+  // fingerprints must be distinct too.
+  std::unordered_set<std::uint64_t> seen;
+  std::size_t payloads = 0;
+  const auto add = [&](const std::string& payload) {
+    const std::uint64_t h = InvariantChecker::fingerprint(make_entry(1, 3, payload));
+    EXPECT_EQ(h & 1, 1u);
+    seen.insert(h);
+    ++payloads;
+  };
+  for (std::size_t len = 0; len <= 80; ++len) {
+    std::string base(len, '\0');
+    for (std::size_t i = 0; i < len; ++i) base[i] = static_cast<char>('a' + i % 23);
+    add(base);
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      for (const unsigned char flip : {0x01, 0x80}) {
+        std::string changed = base;
+        changed[pos] = static_cast<char>(static_cast<unsigned char>(changed[pos]) ^ flip);
+        add(changed);
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), payloads);
 }
 
 // ---- End-of-trial audit helpers ---------------------------------------------------
@@ -188,6 +236,60 @@ TEST(InvariantCluster, AuditCatchesForgedDivergenceOnRealHistory) {
   c->checker().clear();
   c->sim().run_for(500ms);
   EXPECT_EQ(c->audit_invariants(), 0u);
+}
+
+TEST(InvariantCluster, AuditSkipsDeposedLeaderResumedMidElection) {
+  // A leader paused past its successor's commits, then resumed while the
+  // next election is in flight, is the only node in the Leader role, but at
+  // a stale term. It may lack later commits; leader completeness binds only
+  // a leader whose term no running node exceeds.
+  auto c = start_cluster(cluster::make_raft_config(5, 31));
+  const NodeId old_leader = c->current_leader();
+  ASSERT_NE(old_leader, kNoNode);
+  c->pause(old_leader);
+  ASSERT_TRUE(c->await_leader(30s));
+  const NodeId successor = c->current_leader();
+  ASSERT_NE(successor, old_leader);
+  for (int i = 0; i < 5; ++i) {
+    raft::Command cmd;
+    cmd.payload = "put k" + std::to_string(i) + " v";
+    ASSERT_TRUE(c->node(successor).submit(std::move(cmd)).has_value());
+  }
+  c->sim().run_for(1s);
+  ASSERT_LT(c->node(old_leader).last_log_index(), c->checker().max_committed());
+
+  const raft::Term successor_term = c->node(successor).term();
+  c->pause(successor);
+  const auto max_running_term = [&] {
+    raft::Term t = 0;
+    for (const NodeId id : c->server_ids()) {
+      if (auto* n = c->node_if_alive(id); n != nullptr && n->running()) t = std::max(t, n->term());
+    }
+    return t;
+  };
+  // Step event by event up to the first candidate's term bump.
+  for (int i = 0; i < 100000 && max_running_term() <= successor_term; ++i) {
+    ASSERT_TRUE(c->sim().step());
+  }
+  ASSERT_GT(max_running_term(), successor_term) << "no election started";
+  ASSERT_EQ(c->current_leader(), kNoNode);
+  c->resume(old_leader);
+  ASSERT_EQ(c->current_leader(), old_leader);
+  ASSERT_TRUE(c->node(old_leader).is_leader());
+  EXPECT_EQ(c->audit_invariants(), 0u) << c->checker().violations().front().what;
+
+  // A real coverage gap at the newest term still trips: once the election
+  // settles, claim a commit beyond the new leader's log.
+  c->resume(successor);
+  ASSERT_TRUE(c->await_leader(30s));
+  c->sim().run_for(1s);
+  EXPECT_EQ(c->audit_invariants(), 0u);
+  const NodeId leader = c->current_leader();
+  ASSERT_NE(leader, kNoNode);
+  const raft::LogIndex beyond = c->node(leader).last_log_index() + 1;
+  c->checker().on_entry_committed(leader, make_entry(beyond, c->node(leader).term(), "x"),
+                                  TimePoint{});
+  EXPECT_EQ(c->audit_invariants(), 1u);
 }
 
 TEST(InvariantCluster, CheckerSurvivesTrialReset) {

@@ -1,6 +1,10 @@
 // KV command codec and state machine semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "kvstore/command.hpp"
 #include "kvstore/state_machine.hpp"
@@ -122,6 +126,57 @@ TEST(StateMachine, DeterministicReplay) {
   }
   EXPECT_EQ(a.data(), b.data());
   EXPECT_EQ(a.revision(), b.revision());
+}
+
+TEST(StateMachine, SnapshotMatchesGoldenBlob) {
+  // Layout: <revision> then (key, value) pairs in sorted key order, every
+  // field <decimal length> ':' <bytes>.
+  KvStateMachine empty;
+  EXPECT_EQ(empty.snapshot(), "1:0");
+
+  KvStateMachine sm;
+  sm.apply(encode({Op::Put, "b", "0123456789ab", {}}));
+  sm.apply(encode({Op::Put, "a:1", "", {}}));  // separator and digits in a key, empty value
+  sm.apply(encode({Op::Put, "10", "x", {}}));
+  EXPECT_EQ(sm.snapshot(), "1:3" "2:10" "1:x" "3:a:1" "0:" "1:b" "12:0123456789ab");
+}
+
+TEST(StateMachine, SnapshotOrdersKeysBytewise) {
+  // Keys that tie on their first 8 bytes, are prefixes of each other, hold
+  // zero bytes where a shorter key ends, or carry bytes >= 0x80 (which sort
+  // above ASCII, as in memcmp).
+  std::vector<std::string> keys = {"abcdefgh", "abcdefghi", std::string("abcdefgh\0", 9),
+                                   "ab", std::string("ab\0", 3), std::string("ab\0x", 4),
+                                   "", std::string(1, '\0'), "\x80", "\xff\xff", "b",
+                                   "abcdefgg\xff", "key-10", "key-9", "key-100000000"};
+  KvStateMachine sm;
+  for (const std::string& k : keys) sm.apply(encode({Op::Put, k, "v" + k, {}}));
+  std::sort(keys.begin(), keys.end());
+  std::string expected;
+  detail::encode_field(expected, std::to_string(keys.size()));
+  for (const std::string& k : keys) {
+    detail::encode_field(expected, k);
+    detail::encode_field(expected, "v" + k);
+  }
+  EXPECT_EQ(sm.snapshot(), expected);
+}
+
+TEST(StateMachine, SnapshotRestoreRoundTripsTenThousandKeys) {
+  Rng rng(11);
+  KvStateMachine a;
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t len = 64 + static_cast<std::size_t>(rng.uniform_index(961));
+    std::string value(len, '\0');
+    for (char& c : value) c = static_cast<char>(rng.uniform_index(256));
+    a.apply(encode({Op::Put, "key-" + std::to_string(i), std::move(value), {}}));
+  }
+  const std::string blob = a.snapshot();
+  KvStateMachine b;
+  b.restore(blob);
+  EXPECT_EQ(b.size(), 10000u);
+  EXPECT_EQ(b.revision(), a.revision());
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(b.snapshot(), blob);
 }
 
 /// Codec property sweep: random commands always round-trip.
