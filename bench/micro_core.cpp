@@ -1,8 +1,11 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // estimator updates, the tuning formulas, event-queue churn, network send,
-// the commit-path byte work (checker fingerprint, KV snapshot), and a full
-// Raft heartbeat round trip.
+// the commit-path byte work (checker fingerprint, KV snapshot and freeze,
+// KV apply), and a full Raft heartbeat round trip.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
@@ -305,6 +308,42 @@ void BM_KvSnapshot(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_KvSnapshot)->Unit(benchmark::kMillisecond);
+
+void BM_KvFreeze(benchmark::State& state) {
+  // Freezing the BM_KvSnapshot store into a snapshot image (and dropping
+  // it), as every compaction does: copies the entry vector and shares the
+  // values, no value bytes copied.
+  Rng rng(5);
+  kv::KvStateMachine sm;
+  for (std::size_t k = 0; k < 10000; ++k) sm.apply(random_put(rng, k));
+  for (auto _ : state) {
+    const auto image = sm.freeze();
+    benchmark::DoNotOptimize(image.get());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sm.size()));
+}
+BENCHMARK(BM_KvFreeze)->Unit(benchmark::kMicrosecond);
+
+void BM_KvApplyPut(benchmark::State& state) {
+  // Steady-state apply of one group-commit frame of 32 PUTs (64-1024 byte
+  // values) on a 10k-key store: every key exists, so each PUT is an index
+  // lookup plus a value overwrite. Cycles through 64 prebuilt frames.
+  Rng rng(7);
+  kv::KvStateMachine sm;
+  for (std::size_t k = 0; k < 10000; ++k) sm.apply(random_put(rng, k));
+  std::vector<std::string> frames(64);
+  for (std::string& frame : frames) {
+    for (int i = 0; i < 32; ++i) kv::batch_append(frame, random_put(rng, rng.uniform_index(10000)));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::string results = sm.apply(frames[next]);
+    benchmark::DoNotOptimize(results.data());
+    next = (next + 1) % frames.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_KvApplyPut);
 
 void BM_ClusterHeartbeatSecond(benchmark::State& state) {
   // One simulated second of idle n-server cluster traffic (heartbeats,

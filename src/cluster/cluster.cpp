@@ -280,9 +280,15 @@ void Cluster::build_node(NodeId id, bool as_learner) {
   node->set_apply([this, idx](const raft::LogEntry& entry) {
     return state_machines_[idx]->apply(entry.command.payload);
   });
-  node->set_snapshot_hooks(
-      [this, idx] { return state_machines_[idx]->snapshot(); },
-      [this, idx](const raft::Snapshot& snap) { state_machines_[idx]->restore(snap.data); });
+  // Snapshots carry the state machine's frozen image; restore adopts it.
+  // Every image in this cluster was frozen by one of its own KV replicas.
+  node->set_snapshot_hooks([this, idx] { return state_machines_[idx]->freeze(); },
+                           [this, idx](const raft::Snapshot& snap) {
+                             const auto* image =
+                                 dynamic_cast<const kv::KvStateMachine::Image*>(snap.image.get());
+                             DYNA_EXPECTS(image != nullptr);
+                             state_machines_[idx]->restore(*image);
+                           });
   // ReadIndex wiring (engages only when raft.read_index is set): the kv
   // layer classifies reads, and a served read queries the state machine
   // directly — apply_one, since a lone GET is never a batch frame.
@@ -537,6 +543,12 @@ std::uint64_t Cluster::audit_invariants() {
     raft::RaftNode* n = id == kNoNode ? nullptr : nodes_[i].get();
     if (n == nullptr || !n->running()) continue;
     checker_.audit_applied_state(id, n->last_applied(), state_machines_[i]->snapshot());
+    // The durable snapshot is the state after exactly last_index applies,
+    // so it must equal any replica's state at that index: an image that
+    // aliases live state is caught wherever its index meets another's.
+    if (const raft::SnapshotHandle snap = n->snapshot(); snap && snap->image) {
+      checker_.audit_applied_state(id, snap->last_index, snap->image->bytes());
+    }
   }
   return checker_.count();
 }

@@ -51,6 +51,9 @@ class Message {
     return std::holds_alternative<std::monostate>(payload_);
   }
 
+  /// Drop the payload in place, leaving an empty message.
+  void reset() noexcept { payload_.emplace<std::monostate>(); }
+
   /// The Raft protocol message, or nullptr when this is not Raft traffic.
   [[nodiscard]] const raft::Message* raft() const noexcept {
     return std::get_if<raft::Message>(&payload_);

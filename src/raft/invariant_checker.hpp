@@ -20,7 +20,9 @@
 //   * The current leader's log+snapshot must cover every committed index
 //     (leader completeness).
 //   * Replicas with equal last_applied must have byte-identical state-machine
-//     serializations (applied-prefix equality).
+//     serializations, and so must a durable snapshot image and any replica
+//     state at the image's index (applied-prefix equality). Serializations
+//     are compared by a 64-bit digest over the same lanes, not stored.
 //
 // The fingerprint is a 64-bit word-at-a-time hash over (term, config-change
 // kind and target, payload length, every payload byte): four independent
@@ -31,10 +33,12 @@
 // replaying an entry shows up as an apply divergence.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -101,12 +105,13 @@ class InvariantChecker final : public Observer {
   }
 
   /// Applied-prefix equality: replicas at the same last_applied must agree on
-  /// the serialized state machine.
-  void audit_applied_state(NodeId node, LogIndex last_applied, const std::string& serialized) {
-    const auto it = state_by_applied_.find(last_applied);
-    if (it == state_by_applied_.end()) {
-      state_by_applied_.emplace(last_applied, std::pair<NodeId, std::string>{node, serialized});
-    } else if (it->second.second != serialized) {
+  /// the serialized state machine. Only a 64-bit digest of the first
+  /// serialization seen at each index is kept, so the audit holds no copies.
+  void audit_applied_state(NodeId node, LogIndex last_applied, std::string_view serialized) {
+    const std::uint64_t digest = hash_bytes(
+        {kPrime1 + kPrime2, kPrime2, 0, round(0 - kPrime1, serialized.size())}, serialized);
+    const auto [it, inserted] = state_by_applied_.try_emplace(last_applied, node, digest);
+    if (!inserted && it->second.second != digest) {
       record("applied-prefix equality: nodes " + std::to_string(it->second.first) + " and " +
              std::to_string(node) + " diverge at last_applied " + std::to_string(last_applied));
     }
@@ -133,44 +138,15 @@ class InvariantChecker final : public Observer {
   /// 64-bit fingerprint of a log entry's identity (exposed for tests).
   [[nodiscard]] static std::uint64_t fingerprint(const LogEntry& entry) noexcept {
     const std::string& payload = entry.command.payload;
-    const char* p = payload.data();
-    const std::size_t n = payload.size();
     const auto target = static_cast<std::int64_t>(entry.command.config_target);
     // Each identity field seeds its own lane. A round is a bijection of its
     // input word and of the running lane, so changing one field, or one
     // payload word at a fixed length, always changes the fingerprint.
-    std::uint64_t lane[4] = {
-        round(kPrime1 + kPrime2, static_cast<std::uint64_t>(entry.term)),
-        round(kPrime2, static_cast<std::uint64_t>(entry.command.config_change)),
-        round(0, static_cast<std::uint64_t>(target)),
-        round(0 - kPrime1, static_cast<std::uint64_t>(n)),
-    };
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-      lane[0] = round(lane[0], load_word(p + i));
-      lane[1] = round(lane[1], load_word(p + i + 8));
-      lane[2] = round(lane[2], load_word(p + i + 16));
-      lane[3] = round(lane[3], load_word(p + i + 24));
-    }
-    std::size_t k = 0;
-    for (; i + 8 <= n; i += 8) {
-      lane[k] = round(lane[k], load_word(p + i));
-      ++k;
-    }
-    if (i < n) {
-      // 1-7 byte tail, zero-padded; the length lane tells "a" from "a\0".
-      std::uint64_t tail = 0;
-      std::memcpy(&tail, p + i, n - i);
-      lane[k] = round(lane[k], tail);
-    }
-    std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
-                      std::rotl(lane[3], 18);
-    h ^= h >> 33;
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    h ^= h >> 32;
-    return h | 1;
+    return hash_bytes({round(kPrime1 + kPrime2, static_cast<std::uint64_t>(entry.term)),
+                       round(kPrime2, static_cast<std::uint64_t>(entry.command.config_change)),
+                       round(0, static_cast<std::uint64_t>(target)),
+                       round(0 - kPrime1, static_cast<std::uint64_t>(payload.size()))},
+                      payload);
   }
 
  private:
@@ -193,6 +169,40 @@ class InvariantChecker final : public Observer {
     if (violations_.size() < kMaxStored) violations_.push_back(Violation{std::move(what)});
   }
 
+  /// Fold `bytes` into four seeded lanes as 8-byte words (a 1-7 byte tail is
+  /// zero-padded), then mix the lanes down to one word with the low bit set.
+  /// The caller seeds a lane with the length, which tells "a" from "a\0".
+  [[nodiscard]] static std::uint64_t hash_bytes(std::array<std::uint64_t, 4> lane,
+                                                std::string_view bytes) noexcept {
+    const char* p = bytes.data();
+    const std::size_t n = bytes.size();
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+      lane[0] = round(lane[0], load_word(p + i));
+      lane[1] = round(lane[1], load_word(p + i + 8));
+      lane[2] = round(lane[2], load_word(p + i + 16));
+      lane[3] = round(lane[3], load_word(p + i + 24));
+    }
+    std::size_t k = 0;
+    for (; i + 8 <= n; i += 8) {
+      lane[k] = round(lane[k], load_word(p + i));
+      ++k;
+    }
+    if (i < n) {
+      std::uint64_t tail = 0;
+      std::memcpy(&tail, p + i, n - i);
+      lane[k] = round(lane[k], tail);
+    }
+    std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
+                      std::rotl(lane[3], 18);
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h | 1;
+  }
+
   static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
   static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
   static constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
@@ -213,7 +223,8 @@ class InvariantChecker final : public Observer {
   std::unordered_map<NodeId, LogIndex> applied_watermark_;
   /// Index-keyed fingerprints of applied entries; 0 = unset.
   std::vector<std::uint64_t> committed_;
-  std::unordered_map<LogIndex, std::pair<NodeId, std::string>> state_by_applied_;
+  /// Digest of the first serialized state audited at each last_applied.
+  std::unordered_map<LogIndex, std::pair<NodeId, std::uint64_t>> state_by_applied_;
   std::vector<Violation> violations_;
   std::uint64_t count_ = 0;
   LogIndex max_committed_ = 0;

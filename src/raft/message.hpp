@@ -88,7 +88,7 @@ struct RequestVoteResponse {
 /// Raft §7: ship a whole state-machine snapshot to a follower whose
 /// next_index fell behind the leader's compaction point. The snapshot rides
 /// as a shared handle — per-follower and in-flight copies bump a reference
-/// count, never duplicate the blob (the same discipline EntryView applies to
+/// count, never duplicate the image (the same discipline EntryView applies to
 /// log segments). The simulator's messages arrive whole, so there is no
 /// offset/done chunking.
 struct InstallSnapshotRequest {
@@ -150,7 +150,7 @@ enum class MsgKind : std::uint8_t {
 [[nodiscard]] inline std::size_t approx_size(const RequestVoteRequest&) { return 48; }
 [[nodiscard]] inline std::size_t approx_size(const RequestVoteResponse&) { return 32; }
 [[nodiscard]] inline std::size_t approx_size(const InstallSnapshotRequest& r) {
-  return 64 + (r.snapshot ? r.snapshot->data.size() : 0);
+  return 64 + (r.snapshot && r.snapshot->image ? r.snapshot->image->size() : 0);
 }
 [[nodiscard]] inline std::size_t approx_size(const InstallSnapshotResponse&) { return 48; }
 [[nodiscard]] inline std::size_t approx_size(const ClientRequest& r) {

@@ -151,7 +151,7 @@ void RaftNode::reset_for_trial(Rng rng) {
   // (reset) storage; clearing here keeps the segment store's tail capacity.
   term_ = 0;
   voted_for_ = kNoNode;
-  snapshot_.reset();  // the trial's snapshot blob must not leak into the next
+  snapshot_.reset();  // the trial's snapshot image must not leak into the next
   snapshots_taken_ = 0;
 
   role_ = Role::Follower;
@@ -578,7 +578,7 @@ void RaftNode::send_install_snapshot(std::size_t slot) {
   InstallSnapshotRequest req;
   req.term = term_;
   req.leader = id_;
-  req.snapshot = snapshot_;  // handle copy: the blob itself is never duplicated
+  req.snapshot = snapshot_;  // handle copy: the image itself is never duplicated
   // Pipeline optimistically, like replicate_to; the response (or a later
   // rejection) corrects next_index if the transfer did not take.
   ps.next_index = snapshot_->last_index + 1;
@@ -686,7 +686,7 @@ void RaftNode::maybe_take_snapshot() {
   auto snap = std::make_shared<Snapshot>();
   snap->last_index = last_applied_;
   snap->last_term = log_.term_at(last_applied_);
-  snap->data = snapshot_fn_();
+  snap->image = snapshot_fn_();
   if (membership_changed_) {
     // Record the roster as of last_applied_ (sorted for determinism) so a
     // snapshot-led recovery rejoins the post-churn membership. Pre-churn
@@ -939,7 +939,7 @@ void RaftNode::on_install_snapshot(NodeId from, const InstallSnapshotRequest& re
   } else {
     crash_point(fault::CrashPoint::BeforeSnapshotInstall);
     if (restore_) restore_(snap);
-    snapshot_ = req.snapshot;  // adopt the shared handle; no blob copy
+    snapshot_ = req.snapshot;  // adopt the shared handle; no image copy
     storage_->save_snapshot(snapshot_);
     if (snap.last_index <= last_log_index() &&
         log_.term_at(snap.last_index) == snap.last_term) {

@@ -37,12 +37,12 @@ class RaftNode {
   /// the result string sent back to the client (leader only).
   using ApplyFn = std::function<std::string(const LogEntry&)>;
 
-  /// Serializes the host state machine as of the entries applied so far
-  /// (called only from the apply path, so the machine is exactly at
-  /// last_applied). Wired by the cluster alongside ApplyFn.
-  using SnapshotFn = std::function<std::string()>;
+  /// Freezes the host state machine as of the entries applied so far into
+  /// an immutable image (called only from the apply path, so the machine is
+  /// exactly at last_applied). Wired by the cluster alongside ApplyFn.
+  using SnapshotFn = std::function<std::shared_ptr<const SnapshotImage>()>;
 
-  /// Resets the host state machine to a snapshot's contents (recovery and
+  /// Resets the host state machine to a snapshot's image (recovery and
   /// InstallSnapshot adoption).
   using RestoreFn = std::function<void(const Snapshot&)>;
 

@@ -38,7 +38,7 @@ class Storage {
   /// snapshot the view is the suffix starting at log_start().first + 1.
   [[nodiscard]] virtual std::span<const LogEntry> load_log() const = 0;
 
-  /// Persist the state-machine snapshot blob alongside hard state. The
+  /// Persist the state-machine snapshot alongside hard state. The
   /// handle is shared, not copied — the durable snapshot is the same
   /// immutable object the node (and any in-flight InstallSnapshot) holds.
   virtual void save_snapshot(SnapshotHandle snapshot) { (void)snapshot; }
@@ -153,7 +153,7 @@ class MemoryStorage final : public Storage {
     voted_for_ = kNoNode;
     log_.clear();  // capacity survives for the next trial's log
     start_ = {0, 0};
-    snapshot_.reset();  // snapshot blobs must not leak into the next trial
+    snapshot_.reset();  // snapshot images must not leak into the next trial
   }
 
  private:

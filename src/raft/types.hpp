@@ -1,6 +1,7 @@
 // Fundamental Raft vocabulary: terms, log indices, roles, log entries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -74,21 +75,41 @@ struct LogEntry {
   friend bool operator==(const LogEntry&, const LogEntry&) = default;
 };
 
-/// A state-machine snapshot: the serialized machine state as of applying
+/// A state machine's contents frozen at a snapshot line, opaque to Raft.
+/// Immutable once built. Raft needs only its exact serialized size (the
+/// InstallSnapshot traffic model charges it); the bytes are produced only
+/// when something reads them, so freezing can be far cheaper than
+/// serializing. The host that built an image is the one that restores from
+/// it.
+class SnapshotImage {
+ public:
+  SnapshotImage() = default;
+  SnapshotImage(const SnapshotImage&) = delete;
+  SnapshotImage& operator=(const SnapshotImage&) = delete;
+  SnapshotImage(SnapshotImage&&) = delete;
+  SnapshotImage& operator=(SnapshotImage&&) = delete;
+  virtual ~SnapshotImage() = default;
+
+  /// Exactly bytes().size(), without producing the bytes.
+  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+
+  /// The state-machine-specific serialization of the frozen contents.
+  [[nodiscard]] virtual std::string bytes() const = 0;
+};
+
+/// A state-machine snapshot: the machine's image as of applying
 /// `last_index` (whose term is `last_term`). Immutable once built; shared by
 /// handle so an in-flight InstallSnapshot copy is a reference-count bump, the
 /// same ownership discipline EntryView uses for log segments.
 struct Snapshot {
   LogIndex last_index = 0;
   Term last_term = 0;
-  std::string data;  ///< state-machine-specific serialization
+  std::shared_ptr<const SnapshotImage> image;
   /// Membership as of `last_index`, recorded (sorted) only once a config
   /// change has been applied; both empty means "founding membership" and
   /// keeps pre-churn snapshots byte-compatible with the legacy layout.
   std::vector<NodeId> voters;
   std::vector<NodeId> learners;
-
-  friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
 using SnapshotHandle = std::shared_ptr<const Snapshot>;

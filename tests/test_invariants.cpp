@@ -8,6 +8,8 @@
 #include <unordered_set>
 
 #include "cluster/cluster.hpp"
+#include "kvstore/command.hpp"
+#include "kvstore/state_machine.hpp"
 #include "raft/invariant_checker.hpp"
 #include "test_support.hpp"
 
@@ -162,6 +164,34 @@ TEST(InvariantChecker, AuditAppliedStateFlagsDivergedReplicas) {
   chk.audit_applied_state(3, 6, "state-earlier");  // different prefix: fine
   EXPECT_TRUE(chk.ok());
   chk.audit_applied_state(4, 7, "state-B");
+  EXPECT_EQ(chk.count(), 1u);
+}
+
+TEST(InvariantChecker, AuditAppliedStateFlagsImageOfAnotherIndex) {
+  // A durable snapshot image must be the state after exactly its last_index
+  // applies. Two replicas apply the same 8 PUTs; replica 1 froze a correct
+  // image at index 7, replica 2's "image" at index 7 aliases its live state
+  // (index 8), the defect a copy-on-write slip would cause.
+  kv::KvStateMachine a;
+  kv::KvStateMachine b;
+  const auto put = [](int i) {
+    return kv::encode({kv::Op::Put, "k" + std::to_string(i % 3), "v" + std::to_string(i), {}});
+  };
+  for (int i = 1; i <= 7; ++i) {
+    a.apply(put(i));
+    b.apply(put(i));
+  }
+  const auto image_a = a.freeze();
+  a.apply(put(8));
+  b.apply(put(8));
+  const auto aliased = b.freeze();
+
+  InvariantChecker chk;
+  chk.audit_applied_state(1, 8, a.snapshot());
+  chk.audit_applied_state(1, 7, image_a->bytes());
+  chk.audit_applied_state(2, 8, b.snapshot());
+  EXPECT_TRUE(chk.ok());
+  chk.audit_applied_state(2, 7, aliased->bytes());
   EXPECT_EQ(chk.count(), 1u);
 }
 

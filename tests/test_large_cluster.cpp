@@ -258,8 +258,8 @@ TEST(SharedViewExactness, DivergenceCatchUpConvergesIdenticallyAt33) {
     for (std::size_t i = 0; i < leader_log.size(); ++i) {
       ASSERT_EQ(node_log[i], leader_log[i]) << "node " << id << " entry " << i + 1;
     }
-    EXPECT_EQ(c.state_machine(id).data().count("stale0"), 0u) << "node " << id;
-    EXPECT_EQ(c.state_machine(id).data().at("fresh0"), "y") << "node " << id;
+    EXPECT_FALSE(c.state_machine(id).get("stale0").has_value()) << "node " << id;
+    EXPECT_EQ(c.state_machine(id).get("fresh0"), "y") << "node " << id;
   }
 }
 

@@ -287,7 +287,7 @@ std::uint32_t Network::arena_acquire(Message&& payload) {
 
 Message Network::arena_release(std::uint32_t slot) {
   Message out = std::move(arena_[slot]);
-  arena_[slot] = Message{};
+  arena_[slot].reset();
   arena_free_.push_back(slot);
   return out;
 }

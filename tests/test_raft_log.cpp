@@ -26,7 +26,7 @@ TEST(Replication, SubmittedEntryCommitsEverywhere) {
   c.sim().run_for(2s);
   for (const NodeId id : c.server_ids()) {
     EXPECT_GE(c.node(id).commit_index(), *index) << "node " << id;
-    EXPECT_EQ(c.state_machine(id).data().at("k"), "v") << "node " << id;
+    EXPECT_EQ(c.state_machine(id).get("k"), "v") << "node " << id;
   }
 }
 
@@ -138,8 +138,8 @@ TEST(Replication, DivergentUncommittedEntriesAreTruncated) {
   // Everyone converges on the new leader's log; stale entries are gone.
   for (const NodeId id : c.server_ids()) {
     EXPECT_EQ(c.node(id).log().size(), c.node(new_leader).log().size()) << "node " << id;
-    EXPECT_EQ(c.state_machine(id).data().count("stale0"), 0u) << "node " << id;
-    EXPECT_EQ(c.state_machine(id).data().at("fresh0"), "y") << "node " << id;
+    EXPECT_FALSE(c.state_machine(id).get("stale0").has_value()) << "node " << id;
+    EXPECT_EQ(c.state_machine(id).get("fresh0"), "y") << "node " << id;
   }
 }
 

@@ -42,7 +42,7 @@ TEST(Recovery, RestartReplaysLogIntoFreshStateMachine) {
   c.sim().run_for(5s);
 
   EXPECT_EQ(c.state_machine(victim).size(), 20u);
-  EXPECT_EQ(c.state_machine(victim).data(), c.state_machine(leader).data());
+  EXPECT_TRUE(c.state_machine(victim).same_contents(c.state_machine(leader)));
   EXPECT_EQ(c.node(victim).commit_index(), c.node(leader).commit_index());
 }
 
@@ -73,7 +73,7 @@ TEST(Recovery, CrashedLeaderIsReplacedAndRejoinsAsFollower) {
   c.sim().run_for(5s);
   EXPECT_FALSE(c.node(old_leader).is_leader());
   EXPECT_EQ(c.node(old_leader).leader_hint(), new_leader);
-  EXPECT_EQ(c.state_machine(old_leader).data(), c.state_machine(new_leader).data());
+  EXPECT_TRUE(c.state_machine(old_leader).same_contents(c.state_machine(new_leader)));
 }
 
 TEST(Recovery, CommittedEntriesSurviveMinorityCrash) {
@@ -92,7 +92,7 @@ TEST(Recovery, CommittedEntriesSurviveMinorityCrash) {
   for (const NodeId v : victims) c.restart(v);
   c.sim().run_for(5s);
   for (const NodeId id : c.server_ids()) {
-    EXPECT_EQ(c.state_machine(id).data().at("durable"), "yes") << "node " << id;
+    EXPECT_EQ(c.state_machine(id).get("durable"), "yes") << "node " << id;
   }
 }
 

@@ -136,7 +136,7 @@ TEST(ShardedKvClient, OpLandsOnlyInItsKeysGroupAndPublishesLeader) {
   sc.sim().run_for(2s);  // let group 0's followers apply
   bool in_home = false;
   for (const NodeId id : sc.shard(0).server_ids()) {
-    in_home |= sc.shard(0).state_machine(id).data().count(key) > 0;
+    in_home |= sc.shard(0).state_machine(id).get(key).has_value();
   }
   EXPECT_TRUE(in_home);
   for (const NodeId id : sc.shard(1).server_ids()) {

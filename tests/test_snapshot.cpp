@@ -15,6 +15,7 @@
 //   * crash/restart sweeps remain bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -241,9 +242,9 @@ TEST(KvSnapshot, RoundTripRestoresStateAndRevision) {
   b.restore(blob);
   EXPECT_EQ(b.revision(), a.revision());
   EXPECT_EQ(b.size(), a.size());
-  EXPECT_EQ(b.data().at("alpha"), "3");
-  EXPECT_EQ(b.data().count("beta"), 0u);
-  EXPECT_EQ(b.data().count("junk"), 0u);
+  EXPECT_EQ(b.get("alpha"), "3");
+  EXPECT_FALSE(b.get("beta").has_value());
+  EXPECT_FALSE(b.get("junk").has_value());
   // The restored machine's own snapshot is byte-identical (it is shipped to
   // other replicas and compared across them).
   EXPECT_EQ(b.snapshot(), blob);
@@ -251,8 +252,8 @@ TEST(KvSnapshot, RoundTripRestoresStateAndRevision) {
 
 TEST(KvSnapshot, EqualStatesSerializeIdenticallyWhateverTheHistory) {
   // Same logical state {a=1, b=2} at revision 4, reached through different
-  // insertion/deletion orders — the hash map's iteration order differs, the
-  // blobs must not.
+  // insertion/deletion orders — the store's entry order differs, the blobs
+  // must not.
   kv::KvStateMachine first;
   first.apply(kv::encode(kv::KvCommand{kv::Op::Put, "a", "1", {}}));
   first.apply(kv::encode(kv::KvCommand{kv::Op::Put, "b", "2", {}}));
@@ -344,10 +345,56 @@ TEST(SnapshotCompaction, FarBehindFollowerCatchesUpViaInstallSnapshot) {
 
   EXPECT_EQ(c.node(lagger).commit_index(), c.node(leader).commit_index());
   EXPECT_EQ(c.state_machine(lagger).revision(), c.state_machine(leader).revision());
-  EXPECT_EQ(c.state_machine(lagger).data().at("k0"), c.state_machine(leader).data().at("k0"));
+  EXPECT_EQ(c.state_machine(lagger).get("k0"), c.state_machine(leader).get("k0"));
   // The lagger holds a snapshot it never took itself: it was installed.
   EXPECT_GT(c.node(lagger).snapshot_index(), 0u);
   EXPECT_EQ(c.node(lagger).snapshots_taken(), 0u);
+}
+
+TEST(SnapshotCompaction, DurableImagesAuditCleanAtSharedIndex) {
+  // One command per commit round, so every replica applies index by index
+  // and compacts at the same indices. Once every replica has just
+  // snapshotted, one follower is cut off and stays at the snapshot index,
+  // while later writes to every key move the others' live state past their
+  // durable images (which share values with it copy-on-write). The audit
+  // meets each image with the cut-off replica's live state at its index.
+  Cluster c(snapshot_config(5, 25, /*threshold=*/20, /*trailing=*/4));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  const auto put = [&](int i) {
+    ASSERT_TRUE(c.node(leader)
+                    .submit(make_cmd("k" + std::to_string(i % 9), "v" + std::to_string(i)))
+                    .has_value());
+    c.sim().run_for(300ms);  // a heartbeat carries the commit to every follower
+  };
+  const auto all_just_snapshotted = [&] {
+    const auto ids = c.server_ids();
+    return std::all_of(ids.begin(), ids.end(), [&](NodeId id) {
+      return c.node(id).snapshot_index() > 0 &&
+             c.node(id).snapshot_index() == c.node(id).last_applied();
+    });
+  };
+  for (int i = 0; i < 100 && !all_just_snapshotted(); ++i) put(i);
+  ASSERT_TRUE(all_just_snapshotted());
+  const raft::LogIndex shared = c.node(leader).snapshot_index();
+
+  const NodeId cut = leader == 0 ? 1 : 0;
+  for (const NodeId id : c.server_ids()) {
+    if (id == cut) continue;
+    c.network().set_blocked(id, cut, true);
+    c.network().set_blocked(cut, id, true);
+  }
+  for (int i = 0; i < 10; ++i) put(100 + i);  // every key, not enough to compact again
+  c.sim().run_for(1s);
+
+  ASSERT_EQ(c.node(cut).last_applied(), shared);
+  ASSERT_TRUE(c.node(cut).running());
+  for (const NodeId id : c.server_ids()) {
+    if (id == cut) continue;
+    EXPECT_EQ(c.node(id).snapshot_index(), shared) << "node " << id;
+    EXPECT_GT(c.node(id).last_applied(), shared) << "node " << id;
+  }
+  EXPECT_EQ(c.audit_invariants(), 0u);
 }
 
 TEST(SnapshotCompaction, CrashedFollowerRecoversAcrossCompactionPoint) {
