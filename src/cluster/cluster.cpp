@@ -22,6 +22,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
     Rng master(cfg_.seed);
     owned_net_ = std::make_unique<net::Network>(*sim_, master.fork(1), cfg_.transport);
     net_ = owned_net_.get();
+    net_->configure_groups(cfg_.servers, 1);  // one servers x servers tile
     net_->set_default_schedule(cfg_.links);
   }
 
@@ -52,8 +53,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
 
   // Owned substrate: ids 0..servers-1. Shared substrate: the owner
   // constructs groups in node_base order, so the batch lands exactly on this
-  // group's slice of the id space. One add_nodes() call = one link-table
-  // growth for the whole group instead of an O(n^2) re-stride per server.
+  // group's slice of the id space.
   const NodeId first_id = net_->add_nodes(cfg_.servers);
   DYNA_ASSERT(first_id == cfg_.node_base);
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
@@ -154,6 +154,9 @@ void Cluster::reset_substrate() {
 
   Rng master(cfg_.seed);  // same stream derivation as the constructor
   if (pending_reconfigure_) {
+    // A size change re-tiles: the handlers capture (this, id, slot), all
+    // stable across sizes, and every node is rebuilt on this path anyway.
+    if (net_->tiled_nodes() != cfg_.servers) net_->configure_groups(cfg_.servers, 1);
     net_->reset_for_trial(master.fork(1), cfg_.servers, cfg_.transport);
     net_->set_default_schedule(cfg_.links);
   } else {
@@ -457,15 +460,16 @@ void Cluster::restart(NodeId id) {
 }
 
 NodeId Cluster::add_server(bool as_learner) {
-  DYNA_EXPECTS(owns_substrate());  // shared-substrate geometry is fixed
   if (!cfg_.durable_log) {
     throw std::runtime_error(
         "Cluster::add_server: joining servers catch up from durable state; set "
         "ClusterConfig::durable_log=true for membership-change scenarios");
   }
-  // The network hands out the next endpoint id; it need not be dense with the
-  // server roster (workload clients claim endpoints too). index_of resolves
-  // appended servers by roster scan, never by id arithmetic.
+  // The network hands out the next endpoint id past its tiled region, so
+  // the joiner's pairs take the sparse path and no tile ever grows. The id
+  // need not be dense with the server roster (workload clients and other
+  // groups' joiners claim endpoints too); index_of resolves appended
+  // servers by roster scan, never by id arithmetic.
   const NodeId id = net_->add_node(nullptr);
   const std::size_t idx = roster_.size();
   roster_.push_back(id);

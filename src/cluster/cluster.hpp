@@ -107,7 +107,7 @@ class Cluster {
   /// Rebuild-in-place for a new trial: observationally identical to
   /// destroying this cluster and constructing a fresh one from `config`, but
   /// reusing the warmed allocations — the simulator's event containers, the
-  /// network's n*n link table / in-flight arena / handler closures, the
+  /// network's link tile / in-flight arena / handler closures, the
   /// per-server storage buffers and service queues. Node objects are rebuilt
   /// (a trial starts from a cold deployment), everything beneath them is
   /// reset, not reallocated. Fresh-construction equivalence is the reset
@@ -178,7 +178,9 @@ class Cluster {
   /// start it as a learner (default) or direct voter candidate. Returns the
   /// new server's id. The server only *joins* once a leader commits the
   /// matching AddLearner/AddVoter config entry (propose_config_change).
-  /// Requires an owned substrate and durable_log.
+  /// The server's endpoint lands past the network's tiled region (on a
+  /// shared substrate too), so its links take the sparse path. Requires
+  /// durable_log.
   NodeId add_server(bool as_learner = true);
 
   /// Tear down a server whose Remove entry has committed: the node object is

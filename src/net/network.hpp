@@ -22,18 +22,18 @@
 // partition flag) sits in an indexed Link table — one load per send where the
 // seed engine did four red-black-tree lookups.
 //
-// Link-table layout (kilo-node geometries): by default the table is one
-// dense n*n tile covering every node — the classic single-cluster shape.
-// A sharded deployment calls configure_groups(g, k) before adding nodes,
-// which switches the table to a *block-diagonal* layout: one g*g tile per
-// group for the k*g nodes of the tiled region, O(k*g^2) memory instead of
-// O((k*g)^2). Pairs outside a tile (cross-group servers, client endpoints
-// added after the tiled region) stay *routable but stateless*: they share
-// the network's jitter rng and the default ConditionSchedule, and reads see
-// one immutable default Link. The first state-bearing touch (a send's FIFO
-// watermark or TCP stream update, set_blocked, set_link_schedule) promotes
-// the pair into a sparse side table with full per-pair state — so semantics
-// are exactly those of the dense table, pay-per-touched-pair.
+// Link-table layout (kilo-node geometries): configure_groups(g, k) lays the
+// table out *block-diagonally*: one g*g tile per group for the k*g nodes of
+// the tiled region, O(k*g^2) memory instead of O((k*g)^2). A single-group
+// cluster::Cluster is one servers*servers tile; shard::ShardedCluster is k
+// of them. Pairs outside every tile (cross-group servers, client endpoints
+// and joining servers added after the tiled region; every pair of a network
+// with no tiles) stay *routable but stateless*: they share the network's
+// jitter rng and the default ConditionSchedule, and reads see one immutable
+// default Link. The first state-bearing touch (a send's FIFO watermark or
+// TCP stream update, set_blocked, set_link_schedule) promotes the pair into
+// a sparse side table with full per-pair state — so semantics are exactly
+// those of a full n*n table, pay-per-touched-pair.
 //
 // Trial reset (sweep substrate): every Link carries a trial-epoch stamp.
 // reset_for_trial bumps the network's epoch instead of walking the table;
@@ -129,17 +129,19 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Switch the link table to the block-diagonal layout: `groups` tiles of
-  /// `group_size` x `group_size`, covering node ids [0, groups*group_size).
-  /// Must be called before any node is added; the geometry is fixed for the
-  /// network's lifetime (a geometry change rebuilds the Network — installed
-  /// handlers capture the id→group mapping anyway, see shard::ShardedCluster).
-  /// Nodes added beyond the tiled region (client endpoints) take the sparse
-  /// cross-pair path. Never calling this keeps the classic dense layout.
+  /// Lay the link table out as `groups` tiles of `group_size` x
+  /// `group_size`, covering node ids [0, groups*group_size). Nodes added
+  /// beyond the tiled region (client endpoints, joining servers) take the
+  /// sparse cross-pair path. Call it before adding nodes, or between trials
+  /// to re-tile: re-tiling drops every pair's state, and the next
+  /// reset_for_trial must shrink the network to the new tiled region.
+  /// Handlers that capture an id->group mapping must not survive a re-tile
+  /// (shard::ShardedCluster rebuilds its Network instead; a single-group
+  /// cluster::Cluster re-tiles in place).
   void configure_groups(std::size_t group_size, std::size_t groups);
 
-  [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
-  [[nodiscard]] std::size_t groups() const noexcept { return group_count_; }
+  /// Node ids [0, tiled_nodes()) live in tiles; 0 for a network with none.
+  [[nodiscard]] std::size_t tiled_nodes() const noexcept { return group_size_ * group_count_; }
 
   /// Register a node; returns its id. Handlers may be set/replaced later
   /// (nodes are constructed after the network exists).
@@ -150,9 +152,8 @@ class Network {
   }
 
   /// Register `count` nodes at once; returns the first id (ids are
-  /// contiguous). One table growth for the whole batch — cluster
-  /// construction uses this so the dense table is allocated exactly once at
-  /// its final stride instead of re-striding per server.
+  /// contiguous). The link table never grows here: the tiles are laid out
+  /// by configure_groups, and every other pair is sparse.
   NodeId add_nodes(std::size_t count);
 
   void set_handler(NodeId node, Handler handler) {
@@ -174,10 +175,10 @@ class Network {
   /// bumped and each Link rewinds on its first touch of the new trial, so
   /// the reset itself is O(nodes + touched cross-pairs) — it never walks the
   /// tile storage. Node handlers are configuration, not trial state, and
-  /// survive for the node indices that survive; `node_count` resizes the
-  /// tables when the next trial needs a different cluster size (in grouped
-  /// mode the tiled geometry is fixed, so `node_count` must equal
-  /// groups*group_size — a geometry change rebuilds the Network). The reset
+  /// survive for the node indices that survive. A tiled network resets to
+  /// exactly its tiled region (`node_count == tiled_nodes()`), dropping
+  /// client endpoints and joined servers; a network with no tiles resets to
+  /// any `node_count`. A size change goes through configure_groups. The reset
   /// contract (fresh-construction equivalence) is pinned by
   /// tests/test_trial_reuse.cpp and tests/test_net_equivalence.cpp.
   void reset_for_trial(Rng rng, std::size_t node_count);
@@ -296,13 +297,13 @@ class Network {
   };
 
   /// Everything the transport tracks about one directed (from,to) pair.
-  /// Lives in a tile of the block-diagonal table (dense mode: the single
-  /// tile), or in the sparse cross-pair table once touched. `epoch` is the
-  /// lazy-reset stamp: a Link whose epoch differs from the network's
-  /// trial_epoch_ is logically in its freshly-built state and is physically
-  /// rewound on first access (see refresh()). The stamp lives in what used
-  /// to be padding — sizeof(Link) is unchanged at 48 bytes on LP64, which
-  /// the committed link_table_bytes reference columns depend on.
+  /// Lives in a tile of the block-diagonal table, or in the sparse
+  /// cross-pair table once touched. `epoch` is the lazy-reset stamp: a Link
+  /// whose epoch differs from the network's trial_epoch_ is logically in its
+  /// freshly-built state and is physically rewound on first access (see
+  /// refresh()). The stamp lives in what used to be padding — sizeof(Link)
+  /// is unchanged at 48 bytes on LP64, which the committed link_table_bytes
+  /// reference columns depend on.
   struct Link {
     std::unique_ptr<ConditionSchedule> override_schedule;  ///< null => default
     TimePoint reliable_last_delivery = kSimEpoch;          ///< FIFO watermark
@@ -351,17 +352,17 @@ class Network {
     return l;
   }
 
-  /// Storage cell for (from,to) if the pair lives in a tile: the dense
-  /// single tile, or the group tile when both endpoints share a group.
-  /// nullptr => cross-tile pair (sparse path).
+  /// Storage cell for (from,to) if both endpoints share a group tile.
+  /// nullptr => cross-tile pair (sparse path). An untiled network has
+  /// group_count_ == 0, so every pair misses without a separate branch.
+  /// Tile g starts at g*gs^2 and row f-g*gs at (f-g*gs)*gs, so the cell is
+  /// f*gs + col; `col` wraps past gs when `to` precedes the group.
   [[nodiscard]] Link* tile_slot(NodeId from, NodeId to) const noexcept {
     const auto f = static_cast<std::size_t>(from);
-    const auto t = static_cast<std::size_t>(to);
-    if (group_size_ == 0) return &links_[f * stride_ + t];
     const std::size_t g = f / group_size_;
-    if (g >= group_count_ || g != t / group_size_) return nullptr;
-    const std::size_t base = g * group_size_;
-    return &links_[base * group_size_ + (f - base) * group_size_ + (t - base)];
+    const std::size_t col = static_cast<std::size_t>(to) - g * group_size_;
+    if (g >= group_count_ || col >= group_size_) return nullptr;
+    return &links_[f * group_size_ + col];
   }
 
   /// The (from,to) Link with its per-trial state live (refreshed if stale).
@@ -384,11 +385,6 @@ class Network {
     if (it == cross_.end()) return default_link_;
     return refresh(it->second);
   }
-
-  /// Grow the dense tile after add_nodes. Batched construction allocates
-  /// the exact final stride in one step; incremental add_node doubles the
-  /// stride so k single adds re-stride O(log k) times, not k times.
-  void grow_dense(std::size_t old_count);
 
   /// Eager fallback for the epoch wrap: physically rewind every tile cell
   /// so stale stamps from the previous 32-bit period cannot alias.
@@ -425,20 +421,17 @@ class Network {
   std::vector<NodeState> nodes_;
 
   // ---- Link table ----
-  /// Dense mode (group_size_ == 0): one stride_*stride_ tile, indexed
-  /// from*stride_+to, stride_ >= node_count. Grouped mode: group_count_
-  /// tiles of group_size_^2, tile g at offset g*group_size_^2.
+  /// group_count_ tiles of group_size_^2, tile g at offset g*group_size_^2.
   /// `mutable`: refresh() rewinds lazily-reset cells through const reads —
   /// observable state is unchanged (that is the reset contract).
   mutable std::vector<Link> links_;
-  /// Touched cross-tile pairs (grouped mode only), keyed (from<<32)|to.
+  /// Touched cross-tile pairs, keyed (from<<32)|to.
   mutable std::unordered_map<std::uint64_t, Link> cross_;
   /// Shared stateless entry read by untouched cross-tile pairs. Never
   /// mutated, never stamped — it *is* the freshly-built state.
   Link default_link_;
-  std::size_t group_size_ = 0;   ///< 0 => dense single-tile mode
-  std::size_t group_count_ = 1;
-  std::size_t stride_ = 0;       ///< dense-mode row stride
+  std::size_t group_size_ = 1;   ///< nonzero, so tile_slot never divides by 0
+  std::size_t group_count_ = 0;  ///< 0 => no tiles, every pair sparse
   std::uint32_t trial_epoch_ = 1;
 
   /// In-flight message arena: a delivery event captures only a slot index,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "common/stats.hpp"
 #include "kvstore/client.hpp"
@@ -65,15 +66,13 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
 
 // ---- Internal strategies ----------------------------------------------------------
 
-/// The paper's §IV-B1 procedure: repeatedly freeze the leader ("container
-/// sleep"), read detection / OTS instants from the probe's event stream,
-/// revive, repeat.
-std::vector<FailoverSample> run_failovers(cluster::Cluster& c, const FaultPlan& plan) {
-  std::vector<FailoverSample> samples;
-  samples.reserve(plan.kills);
-
+/// One round of the paper's §IV-B1 procedure: freeze the leader
+/// ("container sleep"), read detection / OTS instants from the probe's event
+/// stream, revive. The run body repeats it `kills` times.
+FailoverSample run_failover(cluster::Cluster& c, const FaultPlan& plan) {
   // Multi-machine measurement noise (AWS experiment): each server's log
-  // timestamps carry a fixed NTP offset.
+  // timestamps carry a fixed NTP offset. The stream is keyed by the cluster
+  // seed alone, so re-applying it before every kill sets the same offsets.
   if (plan.clock_skew_ms) {
     Rng skew_rng = c.fork_rng(0x5C1E);
     for (const NodeId id : c.server_ids()) {
@@ -81,67 +80,57 @@ std::vector<FailoverSample> run_failovers(cluster::Cluster& c, const FaultPlan& 
     }
   }
 
-  for (std::size_t kill = 0; kill < plan.kills; ++kill) {
-    FailoverSample sample;
+  FailoverSample sample;
+  if (!c.await_leader(plan.max_wait)) return sample;  // ok == false
+  c.sim().run_for(plan.settle);
+  const NodeId leader = c.current_leader();
+  if (leader == kNoNode) return sample;
 
-    if (!c.await_leader(plan.max_wait)) {
-      samples.push_back(sample);  // ok == false
-      continue;
-    }
-    c.sim().run_for(plan.settle);
-    const NodeId leader = c.current_leader();
-    if (leader == kNoNode) {
-      samples.push_back(sample);
-      continue;
-    }
-
-    // Mean randomizedTimeout across the followers just before the kill
-    // (the §IV-B1 telemetry: 1454 ms for Raft vs 152 ms for Dynatune; the
-    // leader is excluded — its stale draw never gates failure detection).
-    {
-      Welford w;
-      for (const NodeId id : c.server_ids()) {
-        if (id == leader) continue;
-        if (auto* n = c.node_if_alive(id); n != nullptr && n->running()) {
-          w.add(to_ms(n->randomized_timeout()));
-        }
+  // Mean randomizedTimeout across the followers just before the kill
+  // (the §IV-B1 telemetry: 1454 ms for Raft vs 152 ms for Dynatune; the
+  // leader is excluded — its stale draw never gates failure detection).
+  {
+    Welford w;
+    for (const NodeId id : c.server_ids()) {
+      if (id == leader) continue;
+      if (auto* n = c.node_if_alive(id); n != nullptr && n->running()) {
+        w.add(to_ms(n->randomized_timeout()));
       }
-      sample.mean_randomized_ms = w.mean();
     }
-
-    const TimePoint t_kill = c.sim().now();
-    if (plan.mode == FaultMode::CrashRestart) {
-      c.crash(leader);
-    } else {
-      c.pause(leader);
-    }
-
-    // Advance until a successor emerges.
-    const TimePoint deadline = t_kill + plan.max_wait;
-    std::optional<cluster::Probe::LeaderEvent> new_leader;
-    while (c.sim().now() < deadline) {
-      new_leader = c.probe().first_leader_after(t_kill, /*exclude=*/leader);
-      if (new_leader) break;
-      c.sim().run_for(5ms);
-    }
-
-    const auto detection = c.probe().first_timeout_after(t_kill);
-    if (new_leader && detection) {
-      sample.detection_ms = to_ms(detection->when - t_kill);
-      sample.ots_ms = to_ms(new_leader->when - t_kill);
-      sample.election_ms = sample.ots_ms - sample.detection_ms;
-      sample.ok = true;
-    }
-    samples.push_back(sample);
-
-    c.sim().run_for(plan.resume_delay);
-    if (plan.mode == FaultMode::CrashRestart) {
-      c.restart(leader);  // recovers from storage: snapshot + log suffix
-    } else {
-      c.resume(leader);
-    }
+    sample.mean_randomized_ms = w.mean();
   }
-  return samples;
+
+  const TimePoint t_kill = c.sim().now();
+  if (plan.mode == FaultMode::CrashRestart) {
+    c.crash(leader);
+  } else {
+    c.pause(leader);
+  }
+
+  // Advance until a successor emerges.
+  const TimePoint deadline = t_kill + plan.max_wait;
+  std::optional<cluster::Probe::LeaderEvent> new_leader;
+  while (c.sim().now() < deadline) {
+    new_leader = c.probe().first_leader_after(t_kill, /*exclude=*/leader);
+    if (new_leader) break;
+    c.sim().run_for(5ms);
+  }
+
+  const auto detection = c.probe().first_timeout_after(t_kill);
+  if (new_leader && detection) {
+    sample.detection_ms = to_ms(detection->when - t_kill);
+    sample.ots_ms = to_ms(new_leader->when - t_kill);
+    sample.election_ms = sample.ots_ms - sample.detection_ms;
+    sample.ok = true;
+  }
+
+  c.sim().run_for(plan.resume_delay);
+  if (plan.mode == FaultMode::CrashRestart) {
+    c.restart(leader);  // recovers from storage: snapshot + log suffix
+  } else {
+    c.resume(leader);
+  }
+  return sample;
 }
 
 /// Median follower election timeout in force; -1 when no follower is live.
@@ -235,29 +224,85 @@ std::vector<PathSample> record_paths(cluster::Cluster& c, NodeId leader) {
   return paths;
 }
 
-/// The per-pair topology layers applied on top of the compiled config (the
-/// link-table state Cluster::reset deliberately clears between trials).
-void apply_topology(cluster::Cluster& c, const ScenarioSpec& spec) {
-  if (spec.topology.wan) {
-    DYNA_EXPECTS(spec.topology.wan->size() >= spec.servers);
-    spec.topology.wan->apply(c.network());
-  }
-  for (const auto& o : spec.topology.overrides) {
-    c.network().set_link_schedule(o.from, o.to, o.schedule);
-  }
+// ---- Deployments: k >= 1 consensus groups on one simulator and network -----------
+//
+// A plain Cluster is one group; a ShardedCluster is k groups multiplexed onto
+// one substrate. The run body, the topology and the sweep-slot reuse are each
+// written once against these few overloads. A plain cluster is never run as
+// a one-group ShardedCluster: group seeds and client streams differ there.
+
+std::size_t group_count(const cluster::Cluster& /*c*/) { return 1; }
+std::size_t group_count(const shard::ShardedCluster& sc) { return sc.shards(); }
+
+cluster::Cluster& group(cluster::Cluster& c, std::size_t /*g*/) { return c; }
+cluster::Cluster& group(shard::ShardedCluster& sc, std::size_t g) { return sc.shard(g); }
+
+bool await_leaders(cluster::Cluster& c, Duration timeout) { return c.await_leader(timeout); }
+bool await_leaders(shard::ShardedCluster& sc, Duration timeout) {
+  return sc.await_all_leaders(timeout);
 }
 
-/// Sharded variant: every group gets its own copy of the spec topology at
-/// its node base (overrides are group-local ids).
-void apply_topology_sharded(shard::ShardedCluster& sc, const ScenarioSpec& spec) {
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    const NodeId base = sc.shard(g).node_base();
+/// Run the spec's workload plan. A plain cluster reports no per-group op
+/// counts; a sharded deployment reports one entry per group (zeros without
+/// a workload), which is what makes its result carry shard_stats.
+std::optional<std::vector<wl::ShardOps>> run_workload(cluster::Cluster& c,
+                                                      const ScenarioSpec& spec,
+                                                      ScenarioResult& r) {
+  if (!spec.workload.enabled) return std::nullopt;
+  if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
+    // A fresh stream id: the open-loop streams below must keep their exact
+    // fork order so pre-existing reference traces stay byte-identical.
+    wl::ClosedLoopPool pool(c, spec.workload.mix, c.fork_rng(0xC10D));
+    r.mix.push_back(pool.run());
+  } else {
+    // Fixed RNG stream ids keep the workload trace a pure function of the
+    // cluster seed (and match the pre-scenario-API Fig 5 driver).
+    kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(0xC11E47));
+    wl::OpenLoopRamp ramp(c, client, spec.workload.ramp, c.fork_rng(0x10AD));
+    r.levels = ramp.run();
+  }
+  return std::nullopt;
+}
+
+std::optional<std::vector<wl::ShardOps>> run_workload(shard::ShardedCluster& sc,
+                                                      const ScenarioSpec& spec,
+                                                      ScenarioResult& r) {
+  std::vector<wl::ShardOps> ops(sc.shards());
+  if (!spec.workload.enabled) return ops;
+  // One router serves the whole workload; it publishes discovered leaders
+  // as it goes. Same stream ids as the plain path: the trace is a pure
+  // function of (config, master seed) either way.
+  shard::ShardRouter router = sc.make_router();
+  if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
+    wl::ClosedLoopPool pool(sc, router, spec.workload.mix, sc.fork_rng(0xC10D));
+    r.mix.push_back(pool.run());
+    ops = pool.per_shard();
+  } else {
+    shard::ShardedKvClient client(sc, router, sc.fork_rng(0xC11E47));
+    wl::OpenLoopRamp ramp(sc, client, spec.workload.ramp, sc.fork_rng(0x10AD));
+    r.levels = ramp.run();
+    for (std::size_t g = 0; g < sc.shards(); ++g) {
+      ops[g].completed = client.client(g).completed();
+      ops[g].failed = client.client(g).failed();
+    }
+  }
+  return ops;
+}
+
+/// The per-pair topology layers applied on top of the compiled config (the
+/// link-table state a reset deliberately clears between trials). Every
+/// group gets its own copy at its node base: override ids are group-local.
+template <class Deployment>
+void apply_topology(Deployment& d, const ScenarioSpec& spec) {
+  net::Network& net = group(d, 0).network();
+  for (std::size_t g = 0; g < group_count(d); ++g) {
+    const NodeId base = group(d, g).node_base();
     if (spec.topology.wan) {
       DYNA_EXPECTS(spec.topology.wan->size() >= spec.servers);
-      spec.topology.wan->apply(sc.network(), base);
+      spec.topology.wan->apply(net, base);
     }
     for (const auto& o : spec.topology.overrides) {
-      sc.network().set_link_schedule(base + o.from, base + o.to, o.schedule);
+      net.set_link_schedule(base + o.from, base + o.to, o.schedule);
     }
   }
 }
@@ -386,6 +431,114 @@ std::size_t run_membership_churn(cluster::Cluster& c, const FaultPlan& plan) {
   return completed;
 }
 
+shard::ShardedConfig sharded_config(const ScenarioSpec& spec, std::uint64_t seed) {
+  shard::ShardedConfig cfg;
+  cfg.shards = spec.shards;
+  cfg.partition = spec.partition_mode;
+  cfg.group = build_config(spec, spec.servers, seed);
+  return cfg;
+}
+
+// ---- The run body -----------------------------------------------------------------
+
+/// The spec's run shape over every group of `d`: await every leader, warm
+/// up, run the workload, then the fault and sampling plans, then collect
+/// per-group counters. Groups share one simulator, so plans that advance it
+/// (kills, rolling restarts, churn) take the groups in turn.
+template <class Deployment>
+ScenarioResult run_groups(Deployment& d, const ScenarioSpec& spec) {
+  spec.faults.validate(spec.servers);
+  const std::size_t groups = group_count(d);
+  cluster::Cluster& first = group(d, 0);
+  sim::Simulator& sim = first.sim();
+
+  ScenarioResult r;
+  r.scenario = spec.name;
+  r.servers = spec.servers;  // per-group size; shards arrive via shard_stats
+  r.seed = spec.seed;
+  r.variant = first.config().name;  // factory-supplied configs keep their own name
+
+  r.leader_elected = await_leaders(d, spec.await_leader);
+  if (!r.leader_elected) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      cluster::Cluster& c = group(d, g);
+      r.timer_expiries += c.probe().timeouts().size();
+      r.invariant_violations += c.audit_invariants();
+      r.crash_firings += c.fault_firings();
+    }
+    r.sim_seconds = to_sec(sim.now());
+    return r;
+  }
+  sim.run_for(spec.warmup);
+
+  if (spec.sample_paths) {
+    r.paths_leader = first.current_leader();
+    r.paths = record_paths(first, r.paths_leader);
+  }
+
+  const TimePoint measure_start = sim.now();
+  schedule_partition_windows(sim, first.network(), spec.faults);
+
+  const std::optional<std::vector<wl::ShardOps>> ops = run_workload(d, spec, r);
+
+  // Kill k lands on group k % groups, so every group's failover path gets
+  // exercised and the sample count still matches the plan.
+  r.failovers.reserve(spec.faults.kills);
+  for (std::size_t k = 0; k < spec.faults.kills; ++k) {
+    r.failovers.push_back(run_failover(group(d, k % groups), spec.faults));
+  }
+
+  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
+    for (std::size_t g = 0; g < groups; ++g) run_rolling_restarts(group(d, g), spec.faults);
+  }
+
+  if (spec.faults.churn) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      r.membership_rounds += run_membership_churn(group(d, g), spec.faults);
+    }
+  }
+
+  if (spec.samples.duration > Duration{0}) {
+    // Timeline telemetry reads group 0 (its link (base, base+1), its leader
+    // pace); per-group health of a sharded run lands in shard_stats below.
+    r.samples = run_samples(first, spec.samples);
+    for (const auto& p : r.samples) {
+      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
+    }
+  }
+
+  const TimePoint now = sim.now();
+  const double window_sec = to_sec(now - measure_start);
+  for (std::size_t g = 0; g < groups; ++g) {
+    cluster::Cluster& c = group(d, g);
+    const std::size_t elections = c.probe().elections_started_in(measure_start, now);
+    const std::size_t expiries = c.probe().timeouts().size();
+    if (ops) {
+      ShardSample s;
+      s.shard = g;
+      s.servers = spec.servers;
+      s.leader_elected = c.current_leader() != kNoNode;
+      s.completed = (*ops)[g].completed;
+      s.failed = (*ops)[g].failed;
+      if (window_sec > 0.0) s.achieved_rps = static_cast<double>(s.completed) / window_sec;
+      s.elections = elections;
+      s.timer_expiries = expiries;
+      for (const NodeId id : c.server_ids()) {
+        if (auto* n = c.node_if_alive(id); n != nullptr) {
+          s.applied = std::max(s.applied, static_cast<std::uint64_t>(n->last_applied()));
+        }
+      }
+      r.shard_stats.push_back(s);
+    }
+    r.elections += elections;
+    r.timer_expiries += expiries;
+    r.invariant_violations += c.audit_invariants();
+    r.crash_firings += c.fault_firings();
+  }
+  r.sim_seconds = to_sec(now);
+  return r;
+}
+
 }  // namespace
 
 std::unique_ptr<cluster::Cluster> ScenarioRunner::materialize(const ScenarioSpec& spec) {
@@ -394,210 +547,25 @@ std::unique_ptr<cluster::Cluster> ScenarioRunner::materialize(const ScenarioSpec
   return c;
 }
 
-ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
-  if (spec.shards > 1) {
-    auto sc = materialize_sharded(spec);
-    return run_on(*sc, spec);
-  }
-  auto c = materialize(spec);
-  return run_on(*c, spec);
-}
-
 std::unique_ptr<shard::ShardedCluster> ScenarioRunner::materialize_sharded(
     const ScenarioSpec& spec) {
   DYNA_EXPECTS(spec.shards >= 1);
-  shard::ShardedConfig cfg;
-  cfg.shards = spec.shards;
-  cfg.partition = spec.partition_mode;
-  cfg.group = build_config(spec, spec.servers, spec.seed);
-  auto sc = std::make_unique<shard::ShardedCluster>(std::move(cfg));
-  apply_topology_sharded(*sc, spec);
+  auto sc = std::make_unique<shard::ShardedCluster>(sharded_config(spec, spec.seed));
+  apply_topology(*sc, spec);
   return sc;
 }
 
+ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
+  if (spec.shards > 1) return run_on(*materialize_sharded(spec), spec);
+  return run_on(*materialize(spec), spec);
+}
+
 ScenarioResult ScenarioRunner::run_on(cluster::Cluster& c, const ScenarioSpec& spec) {
-  spec.faults.validate(spec.servers);
-
-  ScenarioResult r;
-  r.scenario = spec.name;
-  r.servers = spec.servers;
-  r.seed = spec.seed;
-  r.variant = c.config().name;  // factory-supplied configs keep their own name
-
-  r.leader_elected = c.await_leader(spec.await_leader);
-  if (!r.leader_elected) {
-    r.timer_expiries = c.probe().timeouts().size();
-    r.sim_seconds = to_sec(c.sim().now());
-    r.invariant_violations = c.audit_invariants();
-    r.crash_firings = c.fault_firings();
-    return r;
-  }
-  c.sim().run_for(spec.warmup);
-
-  if (spec.sample_paths) {
-    r.paths_leader = c.current_leader();
-    r.paths = record_paths(c, r.paths_leader);
-  }
-
-  const TimePoint measure_start = c.sim().now();
-  schedule_partition_windows(c.sim(), c.network(), spec.faults);
-
-  if (spec.workload.enabled) {
-    if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
-      // A fresh stream id: the open-loop streams below must keep their exact
-      // fork order so pre-existing reference traces stay byte-identical.
-      wl::ClosedLoopPool pool(c, spec.workload.mix, c.fork_rng(0xC10D));
-      r.mix.push_back(pool.run());
-    } else {
-      // Fixed RNG stream ids keep the workload trace a pure function of the
-      // cluster seed (and match the pre-scenario-API Fig 5 driver).
-      kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(0xC11E47));
-      wl::OpenLoopRamp ramp(c, client, spec.workload.ramp, c.fork_rng(0x10AD));
-      r.levels = ramp.run();
-    }
-  }
-
-  if (spec.faults.kills > 0) {
-    r.failovers = run_failovers(c, spec.faults);
-  }
-
-  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
-    run_rolling_restarts(c, spec.faults);
-  }
-
-  if (spec.faults.churn) {
-    r.membership_rounds = run_membership_churn(c, spec.faults);
-  }
-
-  if (spec.samples.duration > Duration{0}) {
-    r.samples = run_samples(c, spec.samples);
-    for (const auto& p : r.samples) {
-      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
-    }
-  }
-
-  r.elections = c.probe().elections_started_in(measure_start, c.sim().now());
-  r.timer_expiries = c.probe().timeouts().size();
-  r.sim_seconds = to_sec(c.sim().now());
-  r.invariant_violations = c.audit_invariants();
-  r.crash_firings = c.fault_firings();
-  return r;
+  return run_groups(c, spec);
 }
 
 ScenarioResult ScenarioRunner::run_on(shard::ShardedCluster& sc, const ScenarioSpec& spec) {
-  spec.faults.validate(spec.servers);
-  if (spec.faults.churn) {
-    // Membership churn provisions fresh network endpoints, which a shared
-    // substrate's fixed tiled geometry cannot grow mid-trial.
-    throw std::runtime_error("ScenarioRunner: membership churn requires shards == 1");
-  }
-
-  ScenarioResult r;
-  r.scenario = spec.name;
-  r.servers = spec.servers;  // per-group size; shards arrive via shard_stats
-  r.seed = spec.seed;
-  r.variant = sc.shard(0).config().name;
-
-  r.leader_elected = sc.await_all_leaders(spec.await_leader);
-  if (!r.leader_elected) {
-    for (std::size_t g = 0; g < sc.shards(); ++g) {
-      r.timer_expiries += sc.shard(g).probe().timeouts().size();
-      r.invariant_violations += sc.shard(g).audit_invariants();
-      r.crash_firings += sc.shard(g).fault_firings();
-    }
-    r.sim_seconds = to_sec(sc.sim().now());
-    return r;
-  }
-  sc.sim().run_for(spec.warmup);
-
-  if (spec.sample_paths) {
-    r.paths_leader = sc.shard(0).current_leader();
-    r.paths = record_paths(sc.shard(0), r.paths_leader);
-  }
-
-  const TimePoint measure_start = sc.sim().now();
-  schedule_partition_windows(sc.sim(), sc.network(), spec.faults);
-
-  // One router serves the whole run; the workload publishes discovered
-  // leaders into it as it goes.
-  shard::ShardRouter router = sc.make_router();
-  std::vector<wl::ShardOps> shard_ops(sc.shards());
-
-  if (spec.workload.enabled) {
-    if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
-      // Same stream ids as the unsharded path: the trace is a pure function
-      // of (config, master seed) either way.
-      wl::ClosedLoopPool pool(sc, router, spec.workload.mix, sc.fork_rng(0xC10D));
-      r.mix.push_back(pool.run());
-      shard_ops = pool.per_shard();
-    } else {
-      shard::ShardedKvClient client(sc, router, sc.fork_rng(0xC11E47));
-      wl::OpenLoopRamp ramp(sc, client, spec.workload.ramp, sc.fork_rng(0x10AD));
-      r.levels = ramp.run();
-      for (std::size_t g = 0; g < sc.shards(); ++g) {
-        shard_ops[g].completed = client.client(g).completed();
-        shard_ops[g].failed = client.client(g).failed();
-      }
-    }
-  }
-
-  if (spec.faults.kills > 0) {
-    // Kills round-robin across groups: kill k lands on group k % shards, so
-    // every group's failover path gets exercised and the sample count still
-    // matches the plan.
-    FaultPlan one = spec.faults;
-    one.kills = 1;
-    for (std::size_t k = 0; k < spec.faults.kills; ++k) {
-      const auto samples = run_failovers(sc.shard(k % sc.shards()), one);
-      r.failovers.insert(r.failovers.end(), samples.begin(), samples.end());
-    }
-  }
-
-  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
-    // Group g's sweep advances the one shared simulator, so groups take
-    // their rolling rounds in sequence — every group still sees the full
-    // schedule against live traffic from the others.
-    for (std::size_t g = 0; g < sc.shards(); ++g) {
-      run_rolling_restarts(sc.shard(g), spec.faults);
-    }
-  }
-
-  if (spec.samples.duration > Duration{0}) {
-    // Timeline telemetry reads group 0 (its link (base, base+1), its leader
-    // pace); availability in the samples is also group 0's — per-group
-    // health lands in shard_stats below.
-    r.samples = run_samples(sc.shard(0), spec.samples);
-    for (const auto& p : r.samples) {
-      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
-    }
-  }
-
-  const TimePoint now = sc.sim().now();
-  const double window_sec = to_sec(now - measure_start);
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    cluster::Cluster& c = sc.shard(g);
-    ShardSample s;
-    s.shard = g;
-    s.servers = spec.servers;
-    s.leader_elected = c.current_leader() != kNoNode;
-    s.completed = shard_ops[g].completed;
-    s.failed = shard_ops[g].failed;
-    if (window_sec > 0.0) s.achieved_rps = static_cast<double>(s.completed) / window_sec;
-    s.elections = c.probe().elections_started_in(measure_start, now);
-    s.timer_expiries = c.probe().timeouts().size();
-    for (const NodeId id : c.server_ids()) {
-      if (auto* n = c.node_if_alive(id); n != nullptr) {
-        s.applied = std::max(s.applied, static_cast<std::uint64_t>(n->last_applied()));
-      }
-    }
-    r.shard_stats.push_back(s);
-    r.elections += s.elections;
-    r.timer_expiries += s.timer_expiries;
-    r.invariant_violations += c.audit_invariants();
-    r.crash_firings += c.fault_firings();
-  }
-  r.sim_seconds = to_sec(now);
-  return r;
+  return run_groups(sc, spec);
 }
 
 std::uint64_t ScenarioRunner::sweep_seed(const SweepSpec& sweep, std::size_t seed_index) {
@@ -691,40 +659,46 @@ class SweepExecutor {
     // the config is a pure function of (variant, size): a config_factory
     // or registry policy receives the trial seed and may legitimately
     // vary with it, so those recompile (and rebuild nodes) every trial.
-    const bool seed_dependent_config = slot.spec.config_factory != nullptr ||
-                                       !slot.spec.policy.empty() ||
-                                       sweep_->mutate != nullptr;
-    if (slot.spec.shards > 1) {
-      if (slot.sharded == nullptr) {
-        slot.sharded = ScenarioRunner::materialize_sharded(slot.spec);
-      } else {
-        if (new_cell || seed_dependent_config) {
-          shard::ShardedConfig cfg;
-          cfg.shards = slot.spec.shards;
-          cfg.partition = slot.spec.partition_mode;
-          cfg.group = build_config(slot.spec, slot.spec.servers, seed);
-          slot.sharded->reset(std::move(cfg));
-        } else {
-          slot.sharded->reset(seed);
-        }
-        apply_topology_sharded(*slot.sharded, slot.spec);
-      }
-      return ScenarioRunner::run_on(*slot.sharded, slot.spec);
-    }
-    if (slot.cluster == nullptr) {
-      slot.cluster = ScenarioRunner::materialize(slot.spec);
-    } else {
-      if (new_cell || seed_dependent_config) {
-        slot.cluster->reset(build_config(slot.spec, slot.spec.servers, seed));
-      } else {
-        slot.cluster->reset(seed);
-      }
-      apply_topology(*slot.cluster, slot.spec);
-    }
-    return ScenarioRunner::run_on(*slot.cluster, slot.spec);
+    const bool recompile = new_cell || slot.spec.config_factory != nullptr ||
+                           !slot.spec.policy.empty() || sweep_->mutate != nullptr;
+    if (slot.spec.shards > 1) return run_reused(slot.sharded, slot.spec, seed, recompile);
+    return run_reused(slot.cluster, slot.spec, seed, recompile);
   }
 
  private:
+  static void build(std::unique_ptr<cluster::Cluster>& c, const ScenarioSpec& spec) {
+    c = ScenarioRunner::materialize(spec);
+  }
+  static void build(std::unique_ptr<shard::ShardedCluster>& sc, const ScenarioSpec& spec) {
+    sc = ScenarioRunner::materialize_sharded(spec);
+  }
+  static void reconfigure(cluster::Cluster& c, const ScenarioSpec& spec, std::uint64_t seed) {
+    c.reset(build_config(spec, spec.servers, seed));
+  }
+  static void reconfigure(shard::ShardedCluster& sc, const ScenarioSpec& spec,
+                          std::uint64_t seed) {
+    sc.reset(sharded_config(spec, seed));
+  }
+
+  /// Build the slot's deployment on its first trial; afterwards reset it in
+  /// place (recompiling the config only when it may have changed) and
+  /// re-apply the topology the reset cleared.
+  template <class Deployment>
+  static ScenarioResult run_reused(std::unique_ptr<Deployment>& d, const ScenarioSpec& spec,
+                                   std::uint64_t seed, bool recompile) {
+    if (d == nullptr) {
+      build(d, spec);
+    } else {
+      if (recompile) {
+        reconfigure(*d, spec, seed);
+      } else {
+        d->reset(seed);
+      }
+      apply_topology(*d, spec);
+    }
+    return ScenarioRunner::run_on(*d, spec);
+  }
+
   struct Slot {
     std::size_t cell = static_cast<std::size_t>(-1);
     ScenarioSpec spec;

@@ -41,7 +41,8 @@ class ScenarioRunner {
   /// need live-cluster access before/between/after plans (examples, deep
   /// inspection tests). The cluster is expected to come from materialize()
   /// with the same topology; simulated time continues from wherever the
-  /// cluster is.
+  /// cluster is. Both run_on overloads share one body over k >= 1 groups;
+  /// a plain cluster is one group, and its result carries no shard_stats.
   [[nodiscard]] static ScenarioResult run_on(cluster::Cluster& cluster,
                                              const ScenarioSpec& spec);
 
@@ -54,7 +55,8 @@ class ScenarioRunner {
 
   /// Execute the spec's run shape on a sharded deployment: await every
   /// group's leader, warm up, route the workload through a ShardRouter,
-  /// round-robin leader kills across groups, then fill per-shard stats.
+  /// round-robin leader kills across groups, take rolling restarts and
+  /// membership churn group by group, then fill per-shard stats.
   [[nodiscard]] static ScenarioResult run_on(shard::ShardedCluster& cluster,
                                              const ScenarioSpec& spec);
 

@@ -30,7 +30,7 @@ void ShardedCluster::build_network() {
   // dense (shards*servers)^2 matrix. Cross-group pairs (client endpoints,
   // injected partitions) materialize sparsely on first touch; the storage
   // layout never changes the rng draw order, so sharded traces are
-  // bit-identical to the dense layout's.
+  // bit-identical to a full n*n table's.
   net_->configure_groups(cfg_.group.servers, cfg_.shards);
   net_->set_default_schedule(cfg_.group.links);
 }

@@ -190,6 +190,52 @@ TEST(MembershipScenario, ChurnRoundsCompleteWithZeroViolations) {
   EXPECT_EQ(r.invariant_violations, 0u);
 }
 
+TEST(MembershipScenario, ShardedChurnRunsGroupByGroup) {
+  // Three groups on one network: every joiner's endpoint lands past the
+  // tiled region (and past the workload's client endpoints), so the tiles
+  // never grow. Each group completes its own churn rounds in turn.
+  scenario::ScenarioSpec spec;
+  spec.name = "churn-sharded";
+  spec.servers = 5;
+  spec.shards = 3;
+  spec.seed = 71;
+  spec.warmup = 2s;
+  spec.durable_log = true;
+  spec.faults = scenario::FaultPlan::membership_churn(/*rounds=*/2, /*settle=*/1s);
+  wl::MixConfig mix;
+  mix.clients = 2;
+  mix.duration = 2s;
+  spec.workload = scenario::WorkloadPlan::closed_loop(mix);
+
+  const scenario::ScenarioResult r = scenario::ScenarioRunner::run(spec);
+  EXPECT_TRUE(r.leader_elected);
+  EXPECT_EQ(r.membership_rounds, 6u);
+  EXPECT_EQ(r.invariant_violations, 0u);
+  ASSERT_EQ(r.shard_stats.size(), 3u);
+  for (const scenario::ShardSample& s : r.shard_stats) {
+    EXPECT_TRUE(s.leader_elected) << "shard " << s.shard;
+  }
+
+  // A reused substrate must drop every joiner between trials: fresh and
+  // reused sweeps agree exactly.
+  scenario::SweepSpec sweep;
+  sweep.base = spec;
+  sweep.seeds = 2;
+  sweep.master_seed = 71;
+  sweep.threads = 1;
+  sweep.reuse_substrate = false;
+  const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
+  sweep.reuse_substrate = true;
+  const auto reused = scenario::ScenarioRunner::run_sweep(sweep);
+  ASSERT_EQ(fresh.size(), 2u);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(fresh[i].membership_rounds, 6u) << "trial " << i;
+    EXPECT_EQ(fresh[i].invariant_violations, 0u) << "trial " << i;
+    EXPECT_EQ(fresh[i], reused[i]) << "trial " << i;
+  }
+}
+
 // ---- FaultPlan validation ---------------------------------------------------------
 
 TEST(FaultPlanValidate, AcceptsDisjointWindowsAndSanePlans) {

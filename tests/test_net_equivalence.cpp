@@ -12,13 +12,14 @@
 // seeded randomized scripts (sends on both transports, link-schedule
 // overrides, directional blocks, isolate, pauses with parked reliable
 // traffic, mid-flight resets) and must produce bit-identical observable
-// behaviour — in dense single-tile mode AND in grouped mode with
-// cross-group client traffic exercising the sparse path.
+// behaviour — with one tile (a single cluster's layout), with no tiles at
+// all (every pair sparse), AND with several group tiles plus cross-group
+// client traffic exercising the sparse path.
 //
 // Also pinned here: the layout unit contract (add_nodes batch ids,
 // link_table_bytes accounting, const reads never promote, reset drops
-// promoted pairs, the 32-bit epoch wrap hard-clear) and the grouped-mode
-// reset geometry precondition.
+// promoted pairs, the 32-bit epoch wrap hard-clear, endpoints past the
+// tiled region) and the tiled reset geometry precondition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -413,8 +414,9 @@ using testutil::constant_link;
 using NetTrace = std::vector<std::tuple<NodeId, int, TimePoint>>;
 
 /// One harness instantiation: Simulator + network (either implementation) +
-/// delivery recorder. `Grouped` selects the block-diagonal layout on the new
-/// Network; the reference has no such mode and always runs dense.
+/// delivery recorder. `groups` tiles of `group_size` lay out the new
+/// Network's table (0 groups: untiled, every pair sparse); the reference
+/// has no layouts and always runs dense.
 template <class Net>
 struct Harness {
   sim::Simulator sim;
@@ -425,7 +427,7 @@ struct Harness {
           std::size_t clients)
       : net(sim, Rng(net_seed)) {
     if constexpr (std::is_same_v<Net, net::Network>) {
-      if (groups > 1) net.configure_groups(group_size, groups);
+      if (groups > 0) net.configure_groups(group_size, groups);
     }
     add_endpoints(group_size * groups + clients);
   }
@@ -523,15 +525,30 @@ void expect_observably_equal(A& a, B& b) {
   }
 }
 
-// ---- Randomized equivalence: dense single-tile mode --------------------------------
+// ---- Randomized equivalence: one tile, and no tiles --------------------------------
 
-TEST(NetEquivalence, DenseModeMatchesDenseReference) {
+TEST(NetEquivalence, SingleTileMatchesDenseReference) {
+  // One 12x12 tile: the layout a cluster::Cluster gives its own network.
   for (const std::uint64_t seed : {11u, 23u, 57u}) {
     Harness<denseref::Network> ref(seed, 12, 1, 0);
     Harness<net::Network> got(seed, 12, 1, 0);
     run_random_script(ref, 1000 + seed, 300);
     run_random_script(got, 1000 + seed, 300);
     expect_observably_equal(ref, got);
+    EXPECT_EQ(got.net.cross_link_count(), 0u) << "a single-tile pair went sparse";
+  }
+}
+
+TEST(NetEquivalence, UntiledMatchesDenseReference) {
+  // No tiles at all: every pair the script touches is promoted sparsely.
+  for (const std::uint64_t seed : {11u, 23u, 57u}) {
+    Harness<denseref::Network> ref(seed, 12, 1, 0);
+    Harness<net::Network> got(seed, 12, 0, 12);
+    ASSERT_EQ(ref.net.node_count(), got.net.node_count());
+    run_random_script(ref, 1000 + seed, 300);
+    run_random_script(got, 1000 + seed, 300);
+    expect_observably_equal(ref, got);
+    EXPECT_GT(got.net.cross_link_count(), 0u);
   }
 }
 
@@ -656,9 +673,9 @@ TEST(BlockDiagonalLayout, EpochWrapHardClearsStaleStamps) {
 }
 
 TEST(BlockDiagonalLayout, GroupedResetRequiresTiledGeometry) {
-  // In grouped mode the tiled geometry is fixed for the network's lifetime;
-  // a reset to any other node count is a geometry change, which must rebuild
-  // the Network (ShardedCluster::reset does) — the precondition aborts.
+  // A tiled network resets to exactly its tiled region; any other node
+  // count is a geometry change, which must re-tile (configure_groups) or
+  // rebuild the Network first — the precondition aborts.
   ASSERT_DEATH(
       {
         sim::Simulator sim;
@@ -670,19 +687,27 @@ TEST(BlockDiagonalLayout, GroupedResetRequiresTiledGeometry) {
       "precondition");
 }
 
-TEST(BlockDiagonalLayout, DenseModeGeometricGrowthPreservesState) {
-  // Incremental add_node doubles the stride instead of re-striding per add;
-  // existing per-pair state must survive every growth step.
+TEST(BlockDiagonalLayout, EndpointsPastTiledRegionKeepPairState) {
+  // Endpoints added after the tiled region (clients, joining servers) take
+  // the sparse path, so the tiles never grow; pair state set before and
+  // between later additions must survive every one of them.
   sim::Simulator sim;
   net::Network net(sim, Rng(1));
-  net.add_node();
-  net.add_node();
+  net.configure_groups(2, 1);
+  net.add_nodes(2);
+  const std::size_t tile_bytes = net.link_table_bytes();
   net.set_blocked(0, 1, true);
   net.set_link_schedule(1, 0, constant_link(70ms));
+  net.add_node();
+  net.set_blocked(2, 0, true);  // first joiner: a sparse pair with state
   for (int i = 0; i < 10; ++i) net.add_node();
+  EXPECT_EQ(net.tiled_nodes(), 2u);
   EXPECT_TRUE(net.link_blocked(0, 1));
   EXPECT_EQ(net.condition(1, 0).rtt, 70ms);
+  EXPECT_TRUE(net.link_blocked(2, 0));
   EXPECT_FALSE(net.link_blocked(0, 11));
+  EXPECT_EQ(net.cross_link_count(), 1u);
+  EXPECT_GT(net.link_table_bytes(), tile_bytes);
 }
 
 }  // namespace
