@@ -5,9 +5,10 @@
 // 10 s per level) and we record each level's achieved throughput and mean
 // latency.
 //
-// The leader's request pipeline is a FIFO CPU (cluster::ServiceQueue) whose
-// per-request service time is calibrated so the baseline peaks near the
-// paper's 13 678 req/s; Dynatune carries a calibrated per-request overhead
+// The leader's request pipeline is a FIFO CPU (cluster::ServiceQueue). Group
+// commit is off, so every request is its own serving round and costs
+// `command_service_time`, calibrated so the baseline peaks near the paper's
+// 13 678 req/s; Dynatune carries a calibrated per-request overhead
 // for its measurement/tuning plumbing (per-follower timers, UDP socket path)
 // reproducing the paper's 6.4 % peak-throughput cost. Latency floor =
 // client->leader half RTT + replication RTT + return half RTT = ~200 ms.
@@ -35,7 +36,7 @@ scenario::ScenarioSpec fig5_spec(bool dynatune, Duration level_duration, double 
   spec.topology = scenario::TopologySpec::constant(100ms, 1ms);
   // Calibrated once against the paper's baseline peak (13 678 req/s);
   // Dynatune pays the measured 6.4 % tuning overhead on the same budget.
-  spec.request_service_time = dynatune ? std::chrono::nanoseconds(77'800)
+  spec.command_service_time = dynatune ? std::chrono::nanoseconds(77'800)
                                        : std::chrono::nanoseconds(73'100);
   spec.durable_log = false;  // no crash/recovery in this experiment
   spec.warmup = 5s;          // let Dynatune warm up before offering load

@@ -26,29 +26,9 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
     net_->set_default_schedule(cfg_.links);
   }
 
-  if (cfg_.perf_cost) {
-    perf_ = std::make_unique<PerfModel>(*cfg_.perf_cost, cfg_.perf_bin);
-  }
-
-  if (!cfg_.policy_factory) {
-    const Duration et = cfg_.raft.election_timeout;
-    const Duration h = cfg_.raft.heartbeat_interval;
-    cfg_.policy_factory = [et, h](NodeId) {
-      return std::make_unique<raft::StaticPolicy>(et, h);
-    };
-  }
-
-  storages_.resize(cfg_.servers);
-  state_machines_.resize(cfg_.servers);
-  nodes_.resize(cfg_.servers);
-  service_.resize(cfg_.servers);
   roster_.resize(cfg_.servers);
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
     roster_[i] = cfg_.node_base + static_cast<NodeId>(i);
-  }
-  if (cfg_.fault) {
-    DYNA_EXPECTS(cfg_.durable_log);  // a crash must be restartable
-    for (std::size_t i = 0; i < cfg_.servers; ++i) arm_injector(i);
   }
 
   // Owned substrate: ids 0..servers-1. Shared substrate: the owner
@@ -56,18 +36,11 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   // group's slice of the id space.
   const NodeId first_id = net_->add_nodes(cfg_.servers);
   DYNA_ASSERT(first_id == cfg_.node_base);
-  for (std::size_t i = 0; i < cfg_.servers; ++i) {
-    if (cfg_.durable_log) {
-      storages_[i] = std::make_shared<raft::MemoryStorage>();
-    } else {
-      storages_[i] = std::make_shared<raft::NullStorage>();
-    }
-    service_[i] = std::make_unique<ServiceQueue>(*sim_);
-    service_[i]->configure_group(group_model());
-  }
-  for (std::size_t i = 0; i < cfg_.servers; ++i) {
-    build_node(cfg_.node_base + static_cast<NodeId>(i));
-  }
+
+  // Construction is the first reset: every slot, the perf model, the
+  // injectors and the nodes are provisioned on the one path a reused
+  // substrate takes too.
+  reset_finish();
 }
 
 GroupCostModel Cluster::group_model() const {
@@ -167,14 +140,9 @@ void Cluster::reset_substrate() {
 void Cluster::reset_finish() {
   probe_.clear();
   checker_.clear();
-  if (cfg_.fault) {
-    DYNA_EXPECTS(cfg_.durable_log);
-    for (std::size_t i = 0; i < cfg_.servers; ++i) arm_injector(i);
-  } else {
-    injectors_.clear();
-  }
+  if (!cfg_.fault) injectors_.clear();
 
-  if (pending_reconfigure_ && !cfg_.policy_factory) {
+  if (!cfg_.policy_factory) {
     const Duration et = cfg_.raft.election_timeout;
     const Duration h = cfg_.raft.heartbeat_interval;
     cfg_.policy_factory = [et, h](NodeId) {
@@ -192,26 +160,7 @@ void Cluster::reset_finish() {
   state_machines_.resize(cfg_.servers);
   nodes_.resize(cfg_.servers);
   service_.resize(cfg_.servers);
-
-  for (std::size_t i = 0; i < cfg_.servers; ++i) {
-    const bool have_durable =
-        dynamic_cast<raft::MemoryStorage*>(storages_[i].get()) != nullptr;
-    if (storages_[i] == nullptr || cfg_.durable_log != have_durable) {
-      if (cfg_.durable_log) {
-        storages_[i] = std::make_shared<raft::MemoryStorage>();
-      } else {
-        storages_[i] = std::make_shared<raft::NullStorage>();
-      }
-    } else {
-      storages_[i]->reset_for_trial();  // keeps the log buffer capacity
-    }
-    if (service_[i] == nullptr) {
-      service_[i] = std::make_unique<ServiceQueue>(*sim_);
-    } else {
-      service_[i]->reset_for_trial();
-    }
-    service_[i]->configure_group(group_model());
-  }
+  for (std::size_t i = 0; i < cfg_.servers; ++i) provision_slot(i);
 
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
     if (nodes_[i] != nullptr) {
@@ -253,8 +202,30 @@ std::size_t Cluster::index_of(NodeId id) const {
   return 0;
 }
 
-void Cluster::arm_injector(std::size_t idx) {
+void Cluster::provision_slot(std::size_t idx) {
+  // Storage survives the reset only when its kind still matches the config;
+  // reset_for_trial keeps the log buffer capacity.
+  std::shared_ptr<raft::Storage>& storage = storages_[idx];
+  if (storage == nullptr || storage->durable_log() != cfg_.durable_log) {
+    if (cfg_.durable_log) {
+      storage = std::make_shared<raft::MemoryStorage>();
+    } else {
+      storage = std::make_shared<raft::NullStorage>();
+    }
+  } else {
+    storage->reset_for_trial();
+  }
+  std::unique_ptr<ServiceQueue>& queue = service_[idx];
+  if (queue == nullptr) {
+    queue = std::make_unique<ServiceQueue>(*sim_);
+  } else {
+    queue->reset_for_trial();
+  }
+  queue->configure_group(group_model());
+
+  // Armed once per trial so max_fires survives mid-trial crash/restart.
   if (!cfg_.fault) return;
+  DYNA_EXPECTS(cfg_.durable_log);  // a crash must be restartable
   if (injectors_.size() <= idx) injectors_.resize(idx + 1);
   if (injectors_[idx] == nullptr || !(injectors_[idx]->config() == *cfg_.fault)) {
     injectors_[idx] = std::make_unique<fault::Injector>(*cfg_.fault);
@@ -331,26 +302,21 @@ void Cluster::build_node(NodeId id, bool as_learner) {
       if (n == nullptr || !n->running()) return;
       const raft::Message* msg = payload.raft();
       if (msg == nullptr) return;
-      if (std::holds_alternative<raft::ClientRequest>(*msg) &&
-          (cfg_.grouped_service() || cfg_.request_service_time > Duration{0})) {
+      if (std::holds_alternative<raft::ClientRequest>(*msg) && cfg_.grouped_service()) {
+        // Client requests pass through the CPU before reaching consensus. A
+        // ReadIndex-eligible read never joins a log round — it pays only the
+        // per-command cost (the fast path is the point). Everything else
+        // shares grouped rounds.
         auto deliver = [this, idx, from, m = *msg] {
           raft::RaftNode* alive = nodes_[idx].get();
           if (alive != nullptr && alive->running()) alive->handle_message(from, m);
         };
-        if (cfg_.grouped_service()) {
-          // Batch-aware CPU: a ReadIndex-eligible read never joins a log
-          // round — it pays only the per-command cost (the fast path is the
-          // point). Everything else shares grouped rounds.
-          const auto& payload = std::get<raft::ClientRequest>(*msg).command.payload;
-          if (cfg_.raft.read_index && kv::is_read_only(payload)) {
-            service_[idx]->enqueue(cfg_.command_service_time, std::move(deliver));
-          } else {
-            service_[idx]->enqueue_command(std::move(deliver));
-          }
-          return;
+        const auto& payload = std::get<raft::ClientRequest>(*msg).command.payload;
+        if (cfg_.raft.read_index && kv::is_read_only(payload)) {
+          service_[idx]->enqueue(cfg_.command_service_time, std::move(deliver));
+        } else {
+          service_[idx]->enqueue_command(std::move(deliver));
         }
-        // Client requests pass through the CPU before reaching consensus.
-        service_[idx]->enqueue(service_time_for(id), std::move(deliver));
         return;
       }
       n->handle_message(from, *msg);
@@ -359,8 +325,6 @@ void Cluster::build_node(NodeId id, bool as_learner) {
 
   nodes_[idx]->start();
 }
-
-Duration Cluster::service_time_for(NodeId /*id*/) const { return cfg_.request_service_time; }
 
 raft::RaftNode& Cluster::node(NodeId id) {
   auto* n = node_if_alive(id);
@@ -473,13 +437,11 @@ NodeId Cluster::add_server(bool as_learner) {
   const NodeId id = net_->add_node(nullptr);
   const std::size_t idx = roster_.size();
   roster_.push_back(id);
-  storages_.push_back(std::make_shared<raft::MemoryStorage>());
+  storages_.emplace_back();
   state_machines_.emplace_back();
   nodes_.emplace_back();
-  auto queue = std::make_unique<ServiceQueue>(*sim_);
-  queue->configure_group(group_model());
-  service_.push_back(std::move(queue));
-  if (cfg_.fault) arm_injector(idx);
+  service_.emplace_back();
+  provision_slot(idx);
   build_node(id, as_learner);
   return id;
 }

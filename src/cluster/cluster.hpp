@@ -45,17 +45,15 @@ struct ClusterConfig {
   /// Transport/stall knobs (retransmit model, CPU-contention stalls).
   net::Network::Config transport{};
 
-  /// When > 0, client requests pass through a per-server FIFO CPU with this
-  /// service time before reaching Raft (throughput experiments).
-  Duration request_service_time{0};
-
-  /// Batch-aware CPU cost split (grouped model): serving a round of k
-  /// coalesced client commands costs round_service_time +
-  /// k·command_service_time. Active once either is > 0 (and then takes the
-  /// client-request path over the flat request_service_time model). The
-  /// round size cap and whether commands coalesce at all mirror the raft
-  /// group-commit knobs (raft.max_batch_commands / raft.group_commit), so
-  /// the CPU model and the consensus batching tell one story.
+  /// Per-server FIFO CPU for client requests (throughput experiments), off
+  /// while both are 0. Serving a round of k coalesced client commands costs
+  /// round_service_time + k·command_service_time; a ReadIndex read pays
+  /// command_service_time alone. The round size cap and whether commands
+  /// coalesce at all mirror the raft group-commit knobs
+  /// (raft.max_batch_commands / raft.group_commit), so the CPU model and the
+  /// consensus batching tell one story. With group commit off every request
+  /// is its own round: command_service_time = t alone is a flat FIFO server
+  /// with service time t.
   Duration round_service_time{0};
   Duration command_service_time{0};
 
@@ -99,6 +97,10 @@ struct ClusterConfig {
 
 class Cluster {
  public:
+  /// Wires the substrate (owned or shared) and registers the servers'
+  /// endpoints; everything else — storage, service queues, injectors, perf
+  /// model, nodes — comes from reset_finish(). Construction is the first
+  /// reset, so a reused substrate and a fresh one share one provisioning path.
   explicit Cluster(ClusterConfig config);
 
   Cluster(const Cluster&) = delete;
@@ -221,10 +223,12 @@ class Cluster {
   void build_node(NodeId id, bool as_learner = false);
   void teardown_nodes();
   void reset_substrate();
-  void arm_injector(std::size_t idx);
+  /// Create or reset slot `idx`'s storage and service queue to match the
+  /// config, and arm its crash-point injector. The one provisioner behind
+  /// construction, every trial reset and add_server.
+  void provision_slot(std::size_t idx);
   [[nodiscard]] bool owns_substrate() const noexcept { return owned_sim_ != nullptr; }
   [[nodiscard]] std::size_t index_of(NodeId id) const;
-  [[nodiscard]] Duration service_time_for(NodeId id) const;
   [[nodiscard]] GroupCostModel group_model() const;
 
   ClusterConfig cfg_;
@@ -234,7 +238,7 @@ class Cluster {
   std::unique_ptr<net::Network> owned_net_;
   sim::Simulator* sim_ = nullptr;
   net::Network* net_ = nullptr;
-  bool pending_reconfigure_ = false;  ///< set by reset_begin, read by reset_finish
+  bool pending_reconfigure_ = false;  ///< set by reset_begin: a full-config reset
   Probe probe_;
   raft::InvariantChecker checker_;
   std::unique_ptr<PerfModel> perf_;

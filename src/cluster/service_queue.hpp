@@ -7,16 +7,18 @@
 // beyond 1/service_time therefore builds a genuine backlog, which is what
 // bends the latency curve and pins peak throughput.
 //
-// Two cost models share the server:
-//   * flat       — enqueue(service_time, done): one job, one occupancy.
-//   * grouped    — enqueue_command(done): a *round* of up to max_commands
-//                  coalesced commands costs per_round + k·per_command. This
-//                  is what makes group commit genuinely pay: the fixed
-//                  per-round cost (request parsing epilogue, log append,
-//                  replication bookkeeping) amortizes across the batch,
-//                  so saturated peak moves from 1/(R+C) toward 1/C.
-//                  With coalesce=false every command is its own round —
-//                  the honest unbatched baseline under the same cost split.
+// One cost model (GroupCostModel), two ways in:
+//   * enqueue_command(done) — a *round* of up to max_commands coalesced
+//     commands costs per_round + k·per_command. This is what makes group
+//     commit genuinely pay: the fixed per-round cost (request parsing
+//     epilogue, log append, replication bookkeeping) amortizes across the
+//     batch, so saturated peak moves from 1/(R+C) toward 1/C. With
+//     coalesce=false every command is its own round — the honest unbatched
+//     baseline under the same cost split, and with per_round = 0 a plain
+//     FIFO server of service time per_command.
+//   * enqueue(service_time, done) — one job, one occupancy. It serves the
+//     unbatched rounds above and ReadIndex reads, which never join a round
+//     and pay per_command alone.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +34,7 @@
 
 namespace dyna::cluster {
 
-/// Cost split for the grouped model. Active once either duration is > 0.
+/// Cost split of the CPU model. Active once either duration is > 0.
 struct GroupCostModel {
   Duration per_round{0};       ///< fixed cost paid once per serving round
   Duration per_command{0};     ///< marginal cost per coalesced command
@@ -44,7 +46,8 @@ class ServiceQueue {
  public:
   explicit ServiceQueue(sim::Simulator& simulator) : sim_(&simulator) {}
 
-  /// Admit one job; `done` fires when its service completes.
+  /// Admit one job (a ReadIndex read or an unbatched round); `done` fires
+  /// when its service completes.
   void enqueue(Duration service_time, std::function<void()> done) {
     DYNA_EXPECTS(service_time >= Duration{0});
     const TimePoint start = std::max(sim_->now(), next_free_);
@@ -80,10 +83,10 @@ class ServiceQueue {
     schedule_round(std::max(sim_->now(), next_free_));
   }
 
-  /// Commands waiting for a serving round (grouped model).
+  /// Commands waiting for a coalesced serving round.
   [[nodiscard]] std::size_t pending_commands() const noexcept { return pending_.size(); }
 
-  /// Serving rounds completed under the grouped model.
+  /// Coalesced serving rounds completed (unbatched rounds go through enqueue).
   [[nodiscard]] std::uint64_t rounds_served() const noexcept { return rounds_served_; }
 
   /// Current backlog delay a newly admitted job would see.
@@ -118,8 +121,8 @@ class ServiceQueue {
     if (pending_.empty()) return;
     const TimePoint now = sim_->now();
     if (next_free_ > now) {
-      // A flat job slipped in ahead of us (the two models share the server):
-      // try again when it frees up.
+      // A job admitted through enqueue() — a ReadIndex read — slipped in
+      // ahead of us: try again when the server frees up.
       schedule_round(next_free_);
       return;
     }
@@ -147,7 +150,7 @@ class ServiceQueue {
   std::uint64_t admitted_ = 0;
   std::uint64_t completed_ = 0;
   GroupCostModel group_;
-  std::deque<std::function<void()>> pending_;  ///< grouped model: waiting commands
+  std::deque<std::function<void()>> pending_;  ///< commands waiting for a coalesced round
   bool round_scheduled_ = false;
   std::uint64_t rounds_served_ = 0;
 };

@@ -492,6 +492,13 @@ void RaftNode::send_heartbeat(std::size_t slot) {
       sim_->now() - ps.last_sent < policy_->heartbeat_interval(follower)) {
     return;
   }
+  send_empty_append(slot, config_.datagram_heartbeats ? net::Transport::Datagram
+                                                      : net::Transport::Reliable);
+}
+
+void RaftNode::send_empty_append(std::size_t slot, net::Transport transport) {
+  PeerState& ps = peer_state_[slot];
+  const TimePoint now = sim_->now();
   AppendEntriesRequest req;
   req.term = term_;
   req.leader = id_;
@@ -502,14 +509,12 @@ void RaftNode::send_heartbeat(std::size_t slot) {
   if (config_.measure_network) {
     HeartbeatMeta meta;
     meta.id = ++ps.next_heartbeat_id;
-    meta.send_ts = sim_->now();
+    meta.send_ts = now;
     if (ps.has_rtt) meta.measured_rtt = ps.last_rtt;
     req.meta = meta;
   }
-  const auto transport =
-      config_.datagram_heartbeats ? net::Transport::Datagram : net::Transport::Reliable;
-  ps.last_sent = sim_->now();
-  send(follower, std::move(req), transport, MsgKind::Heartbeat);
+  ps.last_sent = now;
+  send(peers_[slot], std::move(req), transport, MsgKind::Heartbeat);
 }
 
 void RaftNode::schedule_flush() {
@@ -1189,26 +1194,10 @@ void RaftNode::send_read_probes() {
   if (pending_reads_.empty() || role_ != Role::Leader) return;
   const TimePoint now = sim_->now();
   for (std::size_t slot = 0; slot < peer_state_.size(); ++slot) {
-    PeerState& ps = peer_state_[slot];
-    if (ps.last_sent == now) continue;
-    AppendEntriesRequest req;
-    req.term = term_;
-    req.leader = id_;
-    req.prev_log_index = last_log_index();
-    req.prev_log_term = term_at(req.prev_log_index);
-    req.leader_commit = commit_index_;
-    req.read_barrier = barrier_clock_;
-    if (config_.measure_network) {
-      HeartbeatMeta meta;
-      meta.id = ++ps.next_heartbeat_id;
-      meta.send_ts = now;
-      if (ps.has_rtt) meta.measured_rtt = ps.last_rtt;
-      req.meta = meta;
-    }
+    if (peer_state_[slot].last_sent == now) continue;
     // Probes always ride the reliable channel: a lost ack is a stalled read,
     // not just a late timeout reset.
-    ps.last_sent = now;
-    send(peers_[slot], std::move(req), net::Transport::Reliable, MsgKind::Heartbeat);
+    send_empty_append(slot, net::Transport::Reliable);
   }
 }
 

@@ -200,6 +200,10 @@ class RaftNode {
   // ---- Leader machinery (peer-indexed: `slot` addresses peers_[slot]) ----
   void arm_heartbeat_timers();
   void send_heartbeat(std::size_t slot);
+  /// Ship peer `slot` an empty AppendEntries at the log tail (commit index
+  /// and read barrier included), stamp HeartbeatMeta when measuring, and
+  /// record the send for heartbeat suppression.
+  void send_empty_append(std::size_t slot, net::Transport transport);
   void broadcast_heartbeats();
   [[nodiscard]] Duration broadcast_interval() const;
   void schedule_flush();

@@ -49,7 +49,6 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   if (spec.raft_tick) cfg.raft.tick = *spec.raft_tick;
   if (spec.snapshot_threshold) cfg.raft.snapshot_threshold = *spec.snapshot_threshold;
   if (spec.snapshot_trailing) cfg.raft.snapshot_trailing = *spec.snapshot_trailing;
-  cfg.request_service_time = spec.request_service_time;
   cfg.round_service_time = spec.round_service_time;
   cfg.command_service_time = spec.command_service_time;
   if (spec.group_commit) cfg.raft.group_commit = *spec.group_commit;
@@ -309,28 +308,10 @@ void apply_topology(Deployment& d, const ScenarioSpec& spec) {
 
 // ---- Partition windows ------------------------------------------------------------
 
-/// Symmetrically (un)cut `nodes` from every *other* endpoint registered on
-/// the network. Members keep reaching each other, so listing one group's
-/// servers isolates the group whole.
-void cut_nodes(net::Network& net, const std::vector<NodeId>& nodes, bool blocked) {
-  const auto n = static_cast<NodeId>(net.node_count());
-  std::vector<char> inside(static_cast<std::size_t>(n), 0);
-  for (const NodeId id : nodes) {
-    DYNA_EXPECTS(id >= 0 && id < n);
-    inside[static_cast<std::size_t>(id)] = 1;
-  }
-  for (const NodeId a : nodes) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (inside[static_cast<std::size_t>(b)] != 0) continue;
-      net.set_blocked(a, b, blocked);
-      net.set_blocked(b, a, blocked);
-    }
-  }
-}
-
 /// Directionally (un)cut `nodes` from every other registered endpoint:
 /// inbound blocks traffic *toward* the listed nodes, outbound traffic *from*
-/// them. Members keep reaching each other, as in the symmetric case.
+/// them; a symmetric window blocks both. Members keep reaching each other,
+/// so listing one group's servers isolates the group whole.
 void cut_nodes_directed(net::Network& net, const std::vector<NodeId>& nodes, bool inbound,
                         bool outbound, bool blocked) {
   const auto n = static_cast<NodeId>(net.node_count());
@@ -355,10 +336,12 @@ void schedule_partition_windows(sim::Simulator& sim, net::Network& net,
                                 const FaultPlan& plan) {
   for (const auto& w : plan.partition_windows) {
     if (w.nodes.empty() || w.duration <= Duration{0}) continue;
-    sim.schedule_after(w.start,
-                       [&net, nodes = w.nodes] { cut_nodes(net, nodes, true); });
-    sim.schedule_after(w.start + w.duration,
-                       [&net, nodes = w.nodes] { cut_nodes(net, nodes, false); });
+    sim.schedule_after(w.start, [&net, nodes = w.nodes] {
+      cut_nodes_directed(net, nodes, /*inbound=*/true, /*outbound=*/true, true);
+    });
+    sim.schedule_after(w.start + w.duration, [&net, nodes = w.nodes] {
+      cut_nodes_directed(net, nodes, /*inbound=*/true, /*outbound=*/true, false);
+    });
   }
   for (const auto& w : plan.asym_windows) {
     if (w.nodes.empty() || w.duration <= Duration{0}) continue;
@@ -447,8 +430,10 @@ shard::ShardedConfig sharded_config(const ScenarioSpec& spec, std::uint64_t seed
 /// (kills, rolling restarts, churn) take the groups in turn.
 template <class Deployment>
 ScenarioResult run_groups(Deployment& d, const ScenarioSpec& spec) {
-  spec.faults.validate(spec.servers);
   const std::size_t groups = group_count(d);
+  // Window ids are network endpoints: group g's servers sit at
+  // [g * servers, (g + 1) * servers).
+  spec.faults.validate(groups * spec.servers);
   cluster::Cluster& first = group(d, 0);
   sim::Simulator& sim = first.sim();
 

@@ -215,7 +215,9 @@ struct FaultPlan {
 
   /// Reject malformed plans before a trial spends simulated hours on them.
   /// Throws std::invalid_argument (not a contract abort — harnesses test
-  /// their schedules against this). Checks: node ids in [0, servers),
+  /// their schedules against this). Checks: node ids in [0, servers) —
+  /// `servers` counts every group's servers, since window ids are network
+  /// endpoints (group g owns [g·n, (g+1)·n) for per-group size n) —
   /// positive window durations, no two windows (symmetric or directed)
   /// overlapping on the same node, and sane rolling-restart pacing.
   void validate(std::size_t servers) const {
@@ -358,13 +360,11 @@ struct ScenarioSpec {
   /// compaction stays off (the reference-run default).
   std::optional<std::size_t> snapshot_threshold;
   std::optional<std::size_t> snapshot_trailing;
-  /// Per-request FIFO CPU service time (> 0 enables the throughput pipeline).
-  Duration request_service_time{0};
-  /// Batch-aware CPU model: a commit round costs `round_service_time` plus
-  /// `command_service_time` per command it carries (either > 0 enables it and
-  /// supersedes `request_service_time` for client requests). With group
-  /// commit on, coalesced commands share one round — the saturated peak moves
-  /// from 1/(R+C) to B/(R+B*C).
+  /// Per-server FIFO CPU for client requests (either > 0 enables it): a
+  /// commit round costs `round_service_time` plus `command_service_time` per
+  /// command it carries. With group commit off every request is its own
+  /// round; with it on, coalesced commands share one round — the saturated
+  /// peak moves from 1/(R+C) to B/(R+B*C).
   Duration round_service_time{0};
   Duration command_service_time{0};
   /// Leader-side group commit and its caps (see RaftConfig). Applied only

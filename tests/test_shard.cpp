@@ -261,6 +261,30 @@ TEST(PartitionWindows, IsolatingTheLeaderForcesAnElectionThenHeals) {
   EXPECT_TRUE(cluster::service_available(*c));  // healed: commits flow again
 }
 
+TEST(PartitionWindows, ShardedWindowMayNameAnyGroupsServers) {
+  // Window ids are network endpoints, so shard 1's servers are ids 3..5 in
+  // a 2x3 deployment; validation must accept them.
+  scenario::ScenarioSpec spec;
+  spec.name = "partition-window-sharded";
+  spec.servers = 3;
+  spec.shards = 2;
+  spec.seed = 9;
+  spec.samples = scenario::SamplePlan::every(1s, 8s);
+
+  auto sc = scenario::ScenarioRunner::materialize_sharded(spec);
+  ASSERT_TRUE(sc->await_all_leaders(30s));
+  const NodeId old_leader = sc->shard(1).current_leader();
+  ASSERT_GE(old_leader, static_cast<NodeId>(spec.servers));  // a shard-1 endpoint
+
+  spec.faults = scenario::FaultPlan::partitions(
+      {{.start = 500ms, .duration = 3s, .nodes = {old_leader}}});
+  const scenario::ScenarioResult r = scenario::ScenarioRunner::run_on(*sc, spec);
+
+  EXPECT_GE(r.elections, 1u);  // shard 1's remaining quorum elected a successor
+  EXPECT_EQ(r.invariant_violations, 0u);
+  EXPECT_NE(sc->shard(1).current_leader(), kNoNode);
+}
+
 TEST(PartitionWindows, MinoritySetInsideWindowStillReachesItself) {
   // Two nodes cut together still talk to each other (symmetric set cut, not
   // a full isolation of each) — the window models a group partition.

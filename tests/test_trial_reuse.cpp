@@ -389,6 +389,61 @@ TEST(SweepReuse, RegistryPoliciesSweepWithFirstClassNames) {
   EXPECT_EQ(fresh, results);
 }
 
+TEST(SweepReuse, SlotsSwapStorageAndCpuModelAcrossTrials) {
+  // One substrate alternates two kinds of trial, so every reset flips each
+  // slot's storage kind and CPU model: a log-discarding trial whose
+  // open-loop ramp runs through a per-command CPU (a different service time
+  // each time), then a durable-log trial
+  // with a crash-restart kill (which throws on log-discarding storage) and a
+  // churn round that appends a slot (dropped again by the next reset).
+  // Reused slots must provision exactly as fresh ones do.
+  scenario::SweepSpec sweep;
+  sweep.base.name = "reuse-slots";
+  sweep.base.variant = scenario::Variant::Raft;
+  sweep.base.servers = 3;
+  sweep.base.topology = scenario::TopologySpec::constant(40ms, 1ms);
+  sweep.base.warmup = 1s;
+  sweep.seeds = 4;
+  sweep.master_seed = 4321;
+  sweep.threads = 1;  // every trial lands on the one substrate
+  sweep.mutate = [](scenario::ScenarioSpec& spec, std::size_t index, std::uint64_t) {
+    if (index % 2 == 0) {
+      spec.durable_log = false;
+      // 500 us, then 250 us: capacity 2000, then 4000 req/s.
+      spec.command_service_time = std::chrono::microseconds(500 - 125 * index);
+      wl::RampConfig ramp;
+      ramp.start_rps = 1000;
+      ramp.step_rps = 2000;
+      ramp.max_rps = 5000;
+      ramp.level_duration = 1s;
+      spec.workload = scenario::WorkloadPlan::open_loop_ramp(ramp);
+    } else {
+      spec.durable_log = true;
+      spec.faults = scenario::FaultPlan::crash_restart_kills(1, 1s);
+      spec.faults.churn = scenario::FaultPlan::MembershipChurn{/*rounds=*/1, /*settle=*/1s};
+    }
+  };
+
+  sweep.reuse_substrate = false;
+  const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
+  sweep.reuse_substrate = true;
+  const auto reused = scenario::ScenarioRunner::run_sweep(sweep);
+  ASSERT_EQ(fresh.size(), 4u);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(fresh[i], reused[i]) << "trial " << i;
+    if (i % 2 == 0) {
+      ASSERT_EQ(fresh[i].levels.size(), 3u) << "trial " << i;
+      // 5000 req/s offered: the top level saturates either CPU.
+      EXPECT_LT(fresh[i].levels.back().achieved_rps, 0.9 * fresh[i].levels.back().offered_rps)
+          << "trial " << i;
+    } else {
+      EXPECT_EQ(fresh[i].failovers.size(), 1u) << "trial " << i;
+      EXPECT_EQ(fresh[i].membership_rounds, 1u) << "trial " << i;
+    }
+  }
+}
+
 /// Sink that records results (order included) for the streaming contract.
 class CollectingSink final : public scenario::ResultSink {
  public:

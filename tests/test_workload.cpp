@@ -16,7 +16,7 @@ std::unique_ptr<Cluster> make_loaded_cluster(std::uint64_t seed, Duration servic
   net::LinkCondition link;
   link.rtt = 20ms;
   cfg.links = net::ConditionSchedule::constant(link);
-  cfg.request_service_time = service_time;
+  cfg.command_service_time = service_time;  // group commit off: a flat FIFO CPU
   cfg.durable_log = false;
   auto c = std::make_unique<Cluster>(std::move(cfg));
   if (!c->await_leader(30s)) return nullptr;
