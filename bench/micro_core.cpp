@@ -288,7 +288,9 @@ void BM_InvariantCheckerApply(benchmark::State& state) {
   Rng rng(3);
   raft::LogEntry entry;
   entry.term = 2;
-  for (std::size_t i = 0; i < 32; ++i) kv::batch_append(entry.command.payload, random_put(rng, i));
+  std::string frame;
+  for (std::size_t i = 0; i < 32; ++i) kv::batch_append(frame, random_put(rng, i));
+  entry.command.payload = std::move(frame);
   raft::InvariantChecker chk;
   for (auto _ : state) {
     ++entry.index;
@@ -386,7 +388,7 @@ void BM_ClusterReplicationSecond(benchmark::State& state) {
   cfg.durable_log = false;
   cluster::Cluster c(std::move(cfg));
   c.await_leader(30s);
-  std::vector<std::string> payloads;
+  std::vector<raft::Payload> payloads;  // each submit shares one, as client retries do
   payloads.reserve(256);
   for (int k = 0; k < 256; ++k) {
     payloads.push_back(

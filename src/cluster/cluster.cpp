@@ -251,8 +251,8 @@ void Cluster::build_node(NodeId id, bool as_learner) {
   auto node = std::make_unique<raft::RaftNode>(id, std::move(peers), *sim_, *net_, cfg_.raft,
                                                storages_[idx], cfg_.policy_factory(id),
                                                std::move(node_rng));
-  node->set_apply([this, idx](const raft::LogEntry& entry) {
-    return state_machines_[idx]->apply(entry.command.payload);
+  node->set_apply([this, idx](const raft::LogEntry& entry, bool reply) {
+    return state_machines_[idx]->apply(entry.command.payload.view(), reply);
   });
   // Snapshots carry the state machine's frozen image; restore adopts it.
   // Every image in this cluster was frozen by one of its own KV replicas.
@@ -311,8 +311,8 @@ void Cluster::build_node(NodeId id, bool as_learner) {
           raft::RaftNode* alive = nodes_[idx].get();
           if (alive != nullptr && alive->running()) alive->handle_message(from, m);
         };
-        const auto& payload = std::get<raft::ClientRequest>(*msg).command.payload;
-        if (cfg_.raft.read_index && kv::is_read_only(payload)) {
+        const raft::Payload& payload = std::get<raft::ClientRequest>(*msg).command.payload;
+        if (cfg_.raft.read_index && kv::is_read_only(payload.view())) {
           service_[idx]->enqueue(cfg_.command_service_time, std::move(deliver));
         } else {
           service_[idx]->enqueue_command(std::move(deliver));

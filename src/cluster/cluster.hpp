@@ -155,6 +155,10 @@ class Cluster {
   [[nodiscard]] raft::RaftNode* node_if_alive(NodeId id);
   [[nodiscard]] kv::KvStateMachine& state_machine(NodeId id);
   [[nodiscard]] ServiceQueue& service_queue(NodeId id);
+  /// The server's persistent storage (it outlives crashes of the node).
+  [[nodiscard]] const raft::Storage& storage(NodeId id) const {
+    return *storages_[index_of(id)];
+  }
 
   /// Highest-term live leader, or kNoNode.
   [[nodiscard]] NodeId current_leader() const;

@@ -105,7 +105,7 @@ class KvClient {
 
  private:
   struct Pending {
-    std::string payload;
+    raft::Payload payload;  ///< shared with every attempt's request
     DoneFn done;
     TimePoint submitted;
     int attempts = 0;

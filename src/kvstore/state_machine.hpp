@@ -1,4 +1,4 @@
-// Replicated state machine interface + the etcd-like KV implementation.
+// The etcd-like KV state machine every replica runs.
 //
 // Every replica applies the same committed payload sequence; determinism of
 // apply() is what makes State Machine Replication hold, and the test suite
@@ -23,32 +23,17 @@
 
 namespace dyna::kv {
 
-class StateMachine {
- public:
-  virtual ~StateMachine() = default;
-
-  /// Apply one committed command payload; returns the client-visible result.
-  /// The payload is borrowed for the duration of the call (the log entry
-  /// owns it), so implementations can decode it zero-copy.
-  virtual std::string apply(std::string_view payload) = 0;
-
-  /// Serialize the full machine state. Must be deterministic: two replicas
-  /// in the same logical state must produce byte-identical blobs, whatever
-  /// history brought them there (snapshots are compared and shipped across
-  /// replicas).
-  [[nodiscard]] virtual std::string snapshot() const = 0;
-
-  /// Replace the machine state with a blob produced by snapshot().
-  virtual void restore(std::string_view blob) = 0;
-};
-
 /// A value's bytes in one allocation behind a small header that carries a
 /// reference count. The live store is normally the only owner, and then a
 /// write overwrites the bytes in place (the std::string::assign path, same
 /// capacity policy). Copying a handle only bumps the count: that is how a
 /// snapshot image shares every value with the store it was frozen from, and
-/// a write to a value an image still holds goes to a fresh allocation,
-/// leaving the image's bytes untouched.
+/// a write to a value an image still holds goes to a fresh allocation sized
+/// to the new value, leaving the image's bytes untouched.
+///
+/// Unlike raft::Payload, a value is written in place when unshared: the
+/// store is one replica's own, so a bad write diverges that replica alone,
+/// which the checker's applied-state audit sees.
 ///
 /// The count is not atomic. An image and the store it came from belong to
 /// one cluster, which one thread drives at a time.
@@ -71,14 +56,17 @@ class SharedValue {
   }
 
   /// Replace the bytes: in place when this handle is the sole owner and the
-  /// capacity suffices, otherwise into a fresh block (capacity kept, or
-  /// doubled when growing, as std::string does).
+  /// capacity suffices. A sole owner outgrowing its block moves to one of
+  /// doubled capacity, as std::string does; a block an image still shares is
+  /// left to the image, and the fresh one holds exactly the new value (its
+  /// inherited slack would be dead weight in every image it later joins).
   void assign(std::string_view v) {
     DYNA_EXPECTS(v.size() <= kMaxSize);
     if (block_ == nullptr || block_->refs > 1 || v.size() > block_->capacity) {
-      const std::size_t old = block_ == nullptr ? 0 : block_->capacity;
       const std::size_t capacity =
-          v.size() <= old ? old : std::min(std::max(v.size(), 2 * old), kMaxSize);
+          block_ == nullptr || block_->refs > 1
+              ? v.size()
+              : std::min(std::max(v.size(), 2 * std::size_t{block_->capacity}), kMaxSize);
       Header* fresh = allocate(capacity);
       release();
       block_ = fresh;
@@ -128,7 +116,7 @@ class SharedValue {
 /// copied. Bytes in the snapshot() format are produced only when something
 /// reads them (Image::bytes()), and restoring from an Image adopts its
 /// entries without a serialize/parse round trip.
-class KvStateMachine final : public StateMachine {
+class KvStateMachine {
  public:
   struct Entry {
     std::string key;
@@ -152,7 +140,12 @@ class KvStateMachine final : public StateMachine {
     std::size_t size_;
   };
 
-  std::string apply(std::string_view payload) override {
+  /// Apply one committed command payload and return the client-visible
+  /// result. With `reply` false (a replica that answers no client) the
+  /// state and revision change exactly as with it true, but the result is
+  /// left empty. The payload is borrowed for the call (the log entry owns
+  /// it) and decoded zero-copy.
+  std::string apply(std::string_view payload, bool reply = true) {
     if (is_batch(payload)) {
       // Group-commit frame: apply members in order, return member results in
       // the same length-prefixed framing (the leader fans them back out to
@@ -160,25 +153,27 @@ class KvStateMachine final : public StateMachine {
       // its own result slot — the frame keeps its arity either way.
       std::string out;
       const bool ok = for_each_batched(payload, [&](std::string_view member) {
-        detail::encode_field(out, apply_one(member));
+        const std::string result = apply_one(member, reply);
+        if (reply) detail::encode_field(out, result);
       });
       if (!ok) return "ERR malformed-batch";
       return out;
     }
-    return apply_one(payload);
+    return apply_one(payload, reply);
   }
 
-  /// Apply a single (non-batch) command payload.
-  std::string apply_one(std::string_view payload) {
+  /// Apply a single (non-batch) command payload; `reply` as for apply().
+  std::string apply_one(std::string_view payload, bool reply = true) {
     const auto cmd = decode_view(payload);
     if (!cmd) return "ERR malformed";
     switch (cmd->op) {
       case Op::Put: {
         ++revision_;
         put(cmd->key, cmd->value);
-        return ok_result(revision_);
+        return reply ? ok_result(revision_) : std::string();
       }
       case Op::Get: {
+        if (!reply) return {};
         const auto value = get(cmd->key);
         return value ? std::string(*value) : "(nil)";
       }
@@ -187,14 +182,14 @@ class KvStateMachine final : public StateMachine {
         if (slots_[pos].entry == kEmpty) return "(nil)";
         erase_at(pos);
         ++revision_;
-        return ok_result(revision_);
+        return reply ? ok_result(revision_) : std::string();
       }
       case Op::Cas: {
         const Slot slot = slots_[probe(cmd->key, tag_of(cmd->key))];
         if (slot.entry != kEmpty && entries_[slot.entry].value.view() == cmd->expected) {
           ++revision_;
           entries_[slot.entry].value.assign(cmd->value);
-          return ok_result(revision_);
+          return reply ? ok_result(revision_) : std::string();
         }
         return "FAIL";
       }
@@ -209,7 +204,7 @@ class KvStateMachine final : public StateMachine {
   /// replica that applied every command and one restored from an earlier
   /// snapshot — equal states must serialize identically. Written straight
   /// from the live entries; no image is built.
-  [[nodiscard]] std::string snapshot() const override { return serialize(revision_, entries_); }
+  [[nodiscard]] std::string snapshot() const { return serialize(revision_, entries_); }
 
   /// Freeze the current contents into an image: copies the entry vector and
   /// shares every value's bytes (O(keys), no value bytes copied).
@@ -218,7 +213,7 @@ class KvStateMachine final : public StateMachine {
   }
 
   /// Decode a blob produced by snapshot() (or Image::bytes()).
-  void restore(std::string_view blob) override {
+  void restore(std::string_view blob) {
     clear();
     std::size_t pos = 0;
     const auto rev = detail::decode_field(blob, pos);

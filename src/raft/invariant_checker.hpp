@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "raft/observer.hpp"
 #include "raft/types.hpp"
@@ -60,22 +61,24 @@ class InvariantChecker final : public Observer {
   // ---- Streaming checks (Observer) ----
 
   void on_leader_established(NodeId leader, Term term, TimePoint when) override {
-    const auto [it, inserted] = leader_by_term_.emplace(term, leader);
-    if (!inserted && it->second != leader) {
+    const auto slot = static_cast<std::size_t>(term);
+    if (leader_by_term_.size() <= slot) leader_by_term_.resize(slot + 1, kNoNode);
+    NodeId& known = leader_by_term_[slot];
+    if (known == kNoNode) {
+      known = leader;
+    } else if (known != leader) {
       record("election safety: term " + std::to_string(term) + " has leaders " +
-             std::to_string(it->second) + " and " + std::to_string(leader) + " at " +
+             std::to_string(known) + " and " + std::to_string(leader) + " at " +
              std::to_string(to_ms(when)) + "ms");
     }
   }
 
-  void on_node_started(NodeId node, TimePoint /*when*/) override {
-    applied_watermark_[node] = 0;
-  }
+  void on_node_started(NodeId node, TimePoint /*when*/) override { watermark(node) = 0; }
 
   void on_entry_committed(NodeId node, const LogEntry& entry, TimePoint when) override {
     // Monotonic apply: strictly increasing between (re)starts. Gaps are fine
     // (snapshot install jumps the watermark forward).
-    auto& mark = applied_watermark_[node];
+    LogIndex& mark = watermark(node);
     if (entry.index <= mark) {
       record("monotonic apply: node " + std::to_string(node) + " applied index " +
              std::to_string(entry.index) + " after " + std::to_string(mark) + " at " +
@@ -137,7 +140,7 @@ class InvariantChecker final : public Observer {
 
   /// 64-bit fingerprint of a log entry's identity (exposed for tests).
   [[nodiscard]] static std::uint64_t fingerprint(const LogEntry& entry) noexcept {
-    const std::string& payload = entry.command.payload;
+    const std::string_view payload = entry.command.payload.view();
     const auto target = static_cast<std::int64_t>(entry.command.config_target);
     // Each identity field seeds its own lane. A round is a bijection of its
     // input word and of the running lane, so changing one field, or one
@@ -150,6 +153,14 @@ class InvariantChecker final : public Observer {
   }
 
  private:
+  /// The node's apply watermark (0 until it applies anything).
+  [[nodiscard]] LogIndex& watermark(NodeId node) {
+    DYNA_EXPECTS(node >= 0);
+    const auto slot = static_cast<std::size_t>(node);
+    if (applied_watermark_.size() <= slot) applied_watermark_.resize(slot + 1, 0);
+    return applied_watermark_[slot];
+  }
+
   void check_against_table(NodeId node, const LogEntry& entry, const char* kind) {
     if (entry.index == 0) return;
     const std::size_t slot = static_cast<std::size_t>(entry.index);
@@ -219,8 +230,11 @@ class InvariantChecker final : public Observer {
     return w;
   }
 
-  std::unordered_map<Term, NodeId> leader_by_term_;
-  std::unordered_map<NodeId, LogIndex> applied_watermark_;
+  /// Term-indexed leader of each term; kNoNode = none seen. Terms and node
+  /// ids are small and dense, so plain vectors index them.
+  std::vector<NodeId> leader_by_term_;
+  /// NodeId-indexed highest index each node applied since its last start.
+  std::vector<LogIndex> applied_watermark_;
   /// Index-keyed fingerprints of applied entries; 0 = unset.
   std::vector<std::uint64_t> committed_;
   /// Digest of the first serialized state audited at each last_applied.

@@ -628,15 +628,20 @@ void RaftNode::apply_committed() {
   const LogIndex to = commit_index_;
   log_.for_each(from, to, [&](const LogEntry& entry) {
     ++last_applied_;
+    // Only a leader answers clients, so only a routed entry on the leader
+    // needs its result built.
+    const bool leader = role_ == Role::Leader;
+    const bool batch_reply =
+        leader && !batch_routes_.empty() && batch_routes_.front().index == entry.index;
+    const bool single_reply = leader && !batch_reply && entry.command.client != kNoNode;
     std::string result;
     if (entry.command.is_config()) {
       apply_config_change(entry);
     } else if (apply_ && !entry.command.is_noop()) {
-      result = apply_(entry);
+      result = apply_(entry, batch_reply || single_reply);
     }
     for (Observer* o : observers_) o->on_entry_committed(id_, entry, sim_->now());
-    if (role_ == Role::Leader && !batch_routes_.empty() &&
-        batch_routes_.front().index == entry.index) {
+    if (batch_reply) {
       // Group-commit fan-out: one committed batch entry completes every
       // member individually. The state machine returned member results in
       // the frame's length-prefixed framing and order; the front route maps
@@ -658,7 +663,7 @@ void RaftNode::apply_committed() {
         ++member;
       });
       DYNA_ASSERT(ok && member == route.members.size());
-    } else if (role_ == Role::Leader && entry.command.client != kNoNode) {
+    } else if (single_reply) {
       ClientResponse resp;
       resp.ok = true;
       resp.leader_hint = id_;
@@ -1064,7 +1069,8 @@ void RaftNode::on_client_request(NodeId from, const ClientRequest& req) {
   // the commit index and take a barrier ticket; the read completes once a
   // quorum echoes the ticket back (leadership confirmed after admission) and
   // the state machine catches up to the remembered index.
-  if (config_.read_index && read_only_fn_ && read_fn_ && read_only_fn_(req.command.payload)) {
+  if (config_.read_index && read_only_fn_ && read_fn_ &&
+      read_only_fn_(req.command.payload.view())) {
     PendingRead pr;
     pr.barrier = ++barrier_clock_;
     pr.read_index = commit_index_;
@@ -1083,7 +1089,7 @@ void RaftNode::on_client_request(NodeId from, const ClientRequest& req) {
   // Group commit: accumulate into the open batch; seal early when a cap
   // trips, otherwise let the batch_delay flush seal the window.
   if (config_.group_commit) {
-    const std::size_t add = kv::batch_overhead(req.command.payload);
+    const std::size_t add = kv::batch_overhead(req.command.payload.view());
     if (!batch_acc_.empty() && batch_acc_bytes_ + add > config_.max_batch_bytes) {
       seal_batch();  // this member would overflow the byte cap: seal without it
       flush_replication();
@@ -1170,7 +1176,7 @@ void RaftNode::seal_batch() {
   BatchRoute route;
   route.members.reserve(batch_acc_.size());
   for (PendingCommand& pc : batch_acc_) {
-    kv::batch_append(frame, pc.payload);
+    kv::batch_append(frame, pc.payload.view());
     route.members.emplace_back(pc.client, pc.client_seq);
   }
   batch_acc_.clear();
@@ -1221,7 +1227,7 @@ void RaftNode::drain_reads() {
     resp.leader_hint = id_;
     resp.client_seq = pr.client_seq;
     resp.index = pr.read_index;
-    resp.result = read_fn_(pr.payload);
+    resp.result = read_fn_(pr.payload.view());
     send(pr.client, std::move(resp), net::Transport::Reliable, MsgKind::ClientResponse);
     ++reads_served_;
     pending_reads_.pop_front();

@@ -33,9 +33,11 @@ namespace dyna::raft {
 
 class RaftNode {
  public:
-  /// Applies a committed entry to the host's state machine. Return value is
-  /// the result string sent back to the client (leader only).
-  using ApplyFn = std::function<std::string(const LogEntry&)>;
+  /// Applies a committed entry to the host's state machine. `reply` is true
+  /// only where a client response will carry the result (the leader's
+  /// routed entries); the return value is that result, and may be left empty
+  /// when `reply` is false.
+  using ApplyFn = std::function<std::string(const LogEntry&, bool reply)>;
 
   /// Freezes the host state machine as of the entries applied so far into
   /// an immutable image (called only from the apply path, so the machine is
@@ -373,7 +375,7 @@ class RaftNode {
   // always describes the next batch entry to apply. Admission is pipelined:
   // batch N+1 accumulates while batch N is still replicating.
   struct PendingCommand {
-    std::string payload;
+    Payload payload;
     NodeId client = kNoNode;
     std::uint64_t client_seq = 0;
   };
@@ -395,7 +397,7 @@ class RaftNode {
   struct PendingRead {
     std::uint64_t barrier = 0;
     LogIndex read_index = 0;
-    std::string payload;
+    Payload payload;
     NodeId client = kNoNode;
     std::uint64_t client_seq = 0;
   };

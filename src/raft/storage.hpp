@@ -5,6 +5,12 @@
 // a restarted node reloads from it. The in-memory implementation is exact
 // (the experiments do not model disk latency — the paper ran on unthrottled
 // NVMe and its results are network-bound).
+//
+// The durable log owns no payload bytes. A LogEntry's payload is a
+// raft::Payload, so appending an entry here, replaying it through
+// load_log() and handing it back to the node's segment store all share the
+// one immutable buffer the client encoded; what the storage keeps per
+// entry is its term, index, routing fields and a reference.
 #pragma once
 
 #include <memory>
@@ -113,6 +119,7 @@ class MemoryStorage final : public Storage {
     return {term_, voted_for_};
   }
 
+  /// Copies each entry's metadata and shares its payload (a count bump).
   void append(std::span<const LogEntry> entries) override {
     for (const auto& e : entries) {
       DYNA_EXPECTS(e.index == start_.first + log_.size() + 1);  // contiguous suffix

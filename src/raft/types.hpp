@@ -1,11 +1,13 @@
 // Fundamental Raft vocabulary: terms, log indices, roles, log entries.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,13 +49,95 @@ enum class ConfigChange : std::uint8_t {
   Remove,      ///< target leaves the membership entirely
 };
 
+/// A command's bytes: immutable, and shared instead of copied. Payloads up
+/// to kInline bytes (a GET, a short PUT) live inside the object, as
+/// std::string's short-string buffer does, and never allocate. Longer ones
+/// live in one heap block with a reference count; building a Payload from a
+/// std::string&& adopts that string's buffer, and copying a Payload bumps
+/// the count. So the bytes a client encodes are the bytes every replica's
+/// log, every durable log and every in-flight message hold.
+///
+/// There is no mutating accessor and no write-in-place path: bytes that
+/// every replica shares, written in place, would corrupt every replica the
+/// same way, and the checker's apply-divergence test could not see it.
+///
+/// The count is not atomic. A payload and all its copies belong to one
+/// cluster (the client that encoded it, the network, the replicas, their
+/// storage), which one thread drives at a time — the argument
+/// kv::SharedValue makes for snapshot images.
+class Payload {
+ public:
+  static constexpr std::size_t kInline = 16;
+
+  Payload() noexcept = default;
+  /// Adopt `bytes` (its buffer, when it does not fit inline): no byte copy.
+  Payload(std::string&& bytes) {  // NOLINT(google-explicit-constructor)
+    if (bytes.size() <= kInline) {
+      std::copy(bytes.begin(), bytes.end(), s_.bytes);
+      size_ = static_cast<std::uint8_t>(bytes.size());
+    } else {
+      s_.block = new Block{1, std::move(bytes)};
+      size_ = kShared;
+    }
+  }
+  /// Copy `bytes`.
+  Payload(std::string_view bytes)  // NOLINT(google-explicit-constructor)
+      : Payload(std::string(bytes)) {}
+  Payload(const std::string& bytes)  // NOLINT(google-explicit-constructor)
+      : Payload(std::string(bytes)) {}
+  Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : Payload(std::string(bytes)) {}
+
+  Payload(const Payload& other) noexcept : s_(other.s_), size_(other.size_) {
+    if (size_ == kShared) ++s_.block->refs;
+  }
+  Payload(Payload&& other) noexcept : s_(other.s_), size_(std::exchange(other.size_, 0)) {}
+  Payload& operator=(Payload other) noexcept {
+    std::swap(s_, other.s_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+  ~Payload() {
+    if (size_ == kShared && --s_.block->refs == 0) delete s_.block;
+  }
+
+  [[nodiscard]] std::string_view view() const noexcept {
+    return size_ == kShared ? std::string_view(s_.block->bytes)
+                            : std::string_view(s_.bytes, size_);
+  }
+  [[nodiscard]] const char* data() const noexcept { return view().data(); }
+  [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  /// Byte equality; whether two payloads share a block is irrelevant.
+  friend bool operator==(const Payload& a, const Payload& b) noexcept {
+    return a.view() == b.view();
+  }
+
+ private:
+  struct Block {
+    std::uint64_t refs;
+    std::string bytes;
+  };
+  /// Inline bytes, or the shared block when size_ == kShared.
+  union Storage {
+    char bytes[kInline];
+    Block* block;
+  };
+  static constexpr std::uint8_t kShared = 0xFF;
+  static_assert(kInline < kShared);
+
+  Storage s_{};
+  std::uint8_t size_ = 0;  ///< inline length, or kShared
+};
+
 /// A client command as Raft sees it: opaque payload plus routing metadata so
 /// the leader can answer the submitting client once the entry applies.
 /// Entries with `config_change != None` are membership changes: the payload
 /// stays empty and the apply hook is bypassed in favor of the node's own
 /// configuration machinery.
 struct Command {
-  std::string payload;            ///< state-machine-specific serialization
+  Payload payload;                ///< state-machine-specific serialization
   NodeId client = kNoNode;        ///< network endpoint to answer (if any)
   std::uint64_t client_seq = 0;   ///< client-chosen id echoed in the response
   ConfigChange config_change = ConfigChange::None;

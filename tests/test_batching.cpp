@@ -60,7 +60,9 @@ TEST(BatchFrame, MalformedFramesAreRejectedNotCrashed) {
 TEST(BatchFrame, BatchApplyEqualsSequentialApply) {
   // The core group-commit equivalence: applying a batch frame must produce
   // the same store state and the same per-command results as applying the
-  // members one at a time.
+  // members one at a time. A replica that answers no client applies the
+  // same frames with the reply flag off: same state and revision, no
+  // results built.
   Rng rng = testutil::test_rng(7);
   std::vector<std::string> script;
   for (int i = 0; i < 200; ++i) {
@@ -77,6 +79,7 @@ TEST(BatchFrame, BatchApplyEqualsSequentialApply) {
 
   kv::KvStateMachine sequential;
   kv::KvStateMachine batched;
+  kv::KvStateMachine silent;
   std::vector<std::string> seq_results;
   for (const auto& p : script) seq_results.push_back(sequential.apply(p));
 
@@ -94,12 +97,15 @@ TEST(BatchFrame, BatchApplyEqualsSequentialApply) {
     ASSERT_TRUE(kv::for_each_batch_result(blob, [&](std::string_view one) {
       batch_results.emplace_back(one);
     }));
+    EXPECT_EQ(silent.apply(frame, /*reply=*/false), "");
     i += members;
   }
 
   EXPECT_EQ(seq_results, batch_results);
   EXPECT_EQ(sequential.snapshot(), batched.snapshot());
   EXPECT_EQ(sequential.revision(), batched.revision());
+  EXPECT_EQ(silent.snapshot(), batched.snapshot());
+  EXPECT_EQ(silent.revision(), batched.revision());
 }
 
 // ---- Grouped CPU cost model -------------------------------------------------------

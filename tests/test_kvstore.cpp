@@ -319,6 +319,9 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
   // delete-heavy phases (backward-shift deletion in dense probe runs); keys
   // mix short ones with long shared-prefix ones. Images frozen along the way
   // must still match the model state of their freeze point at the end.
+  // Right after each freeze, every 16th key is overwritten with a shorter
+  // value and then a longer one: copy-on-write must leave the image's
+  // bytes intact whether the new value shrinks or outgrows the old block.
   Rng rng(24);
   KvStateMachine sm;
   std::map<std::string, std::string> model;
@@ -360,6 +363,19 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
     if (i % 10000 == 9999) {
       ASSERT_EQ(sm.snapshot(), serialize_model(revision, model)) << "op " << i;
       images.emplace_back(sm.freeze(), serialize_model(revision, model));
+      std::size_t n = 0;
+      for (auto& [key, value] : model) {
+        if (n++ % 16 != 0) continue;
+        const std::string shorter = value.substr(0, value.size() / 2);
+        const std::string longer(2 * value.size() + 17, static_cast<char>('A' + n % 26));
+        for (const std::string& next : {shorter, longer}) {
+          ASSERT_EQ(sm.apply(encode({Op::Put, key, next, {}})),
+                    "OK " + std::to_string(++revision));
+          value = next;
+        }
+      }
+      ASSERT_EQ(images.back().first->bytes(), images.back().second) << "op " << i;
+      ASSERT_EQ(sm.snapshot(), serialize_model(revision, model)) << "op " << i;
     }
   }
   EXPECT_GT(peak, 2000u);

@@ -1,6 +1,9 @@
 // Log replication: commitment, catch-up, conflict resolution, client path.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "cluster/cluster.hpp"
 #include "kvstore/client.hpp"
 #include "kvstore/command.hpp"
@@ -203,6 +206,60 @@ TEST(ClientPath, ClientSurvivesLeaderFailover) {
   EXPECT_TRUE(done);
   EXPECT_GT(client.retries(), 0u);
   c.resume(old_leader);
+}
+
+// ---- One immutable buffer per payload ---------------------------------------------
+
+/// Holds when some accessor of T hands out writable bytes.
+template <class T>
+concept WritableBytes = requires(T& p) { p.data()[0] = 'x'; } ||
+                        requires(T& p) { p[0] = 'x'; } ||
+                        requires(T& p) { *p.begin() = 'x'; };
+static_assert(WritableBytes<std::string>);  // the probe does see a writable buffer
+static_assert(!WritableBytes<raft::Payload>);
+static_assert(!std::is_convertible_v<raft::Payload&, std::string&>);
+
+TEST(Replication, EveryLogAndDurableLogHoldsTheClientsPayloadBytes) {
+  // A payload is encoded once by the client: every replica's log and every
+  // durable log hold those very bytes, through replication, follower
+  // catch-up, and a restart that replays the durable log.
+  Cluster c(cluster::make_raft_config(5, 11));
+  ASSERT_TRUE(c.await_leader(30s));
+  kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(3));
+  int acked = 0;
+  const auto put = [&](int i) {
+    client.put("k" + std::to_string(i), std::string(100, 'v'),
+               [&](const kv::ClientResult& r) { acked += r.ok ? 1 : 0; });
+  };
+  for (int i = 0; i < 20; ++i) put(i);
+  c.sim().run_for(2s);
+  const NodeId victim = c.current_leader() == 0 ? 1 : 0;
+  c.crash(victim);
+  for (int i = 20; i < 40; ++i) put(i);
+  c.sim().run_for(2s);
+  c.restart(victim);
+  c.sim().run_for(3s);
+  ASSERT_EQ(acked, 40);
+
+  const raft::RaftNode& leader = c.node(c.current_leader());
+  std::size_t puts = 0;
+  for (raft::LogIndex i = 1; i <= leader.commit_index(); ++i) {
+    const raft::Payload& bytes = leader.log().entry(i).command.payload;
+    if (bytes.size() <= raft::Payload::kInline) continue;  // no-ops are inline
+    ++puts;
+    for (const NodeId id : c.server_ids()) {
+      ASSERT_GE(c.node(id).last_log_index(), i) << "node " << id;
+      EXPECT_EQ(c.node(id).log().entry(i).command.payload.data(), bytes.data())
+          << "node " << id << " index " << i;
+      const raft::Storage& disk = c.storage(id);
+      const auto durable = disk.load_log();
+      const auto at = static_cast<std::size_t>(i - disk.log_start().first - 1);
+      ASSERT_LT(at, durable.size()) << "node " << id;
+      EXPECT_EQ(durable[at].command.payload.data(), bytes.data())
+          << "node " << id << " index " << i;
+    }
+  }
+  EXPECT_GE(puts, 40u);
 }
 
 }  // namespace

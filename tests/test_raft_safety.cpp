@@ -30,7 +30,7 @@ class CommitTracker final : public raft::Observer {
   struct Commit {
     raft::LogIndex index;
     raft::Term term;
-    std::string payload;
+    raft::Payload payload;
   };
 
   void on_entry_committed(NodeId node, const raft::LogEntry& entry, TimePoint) override {
@@ -186,7 +186,7 @@ TEST_P(SafetySweep, InvariantsHoldUnderNemesis) {
   // If any replica ever applied entry e at index i, no replica may apply a
   // different entry at i — across the whole run, including crash-restart
   // replays.
-  std::map<raft::LogIndex, std::pair<raft::Term, std::string>> applied_at;
+  std::map<raft::LogIndex, std::pair<raft::Term, raft::Payload>> applied_at;
   for (const auto& [node, seq] : tracker.commits()) {
     for (const auto& commit : seq) {
       const auto [it, inserted] =

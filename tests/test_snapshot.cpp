@@ -521,6 +521,30 @@ scenario::SweepSpec crash_restart_sweep(unsigned threads) {
   return sweep;
 }
 
+/// The open-loop ramp sweep above, with group commit on and a closed-loop
+/// PUT pool instead, and crash points firing while the pool runs: batch
+/// frames, snapshot images and shared payloads cross crashes, restarts and
+/// the worker threads.
+scenario::SweepSpec group_commit_crash_restart_sweep(unsigned threads) {
+  scenario::SweepSpec sweep = crash_restart_sweep(threads);
+  scenario::ScenarioSpec& base = sweep.base;
+  base.name = "group-commit-crash-restart";
+  base.group_commit = true;
+  wl::MixConfig mix;
+  mix.clients = 8;
+  mix.value_bytes_min = 16;
+  mix.value_bytes_max = 256;
+  mix.keyspace = 64;
+  mix.duration = 6s;
+  base.workload = scenario::WorkloadPlan::closed_loop(mix);
+  fault::InjectorConfig crashes;
+  crashes.mode = fault::Mode::UniformOverRun;
+  crashes.uniform_max = 400;
+  crashes.restart_delay = 500ms;
+  base.faults.crash_points = crashes;
+  return sweep;
+}
+
 TEST(SnapshotCompaction, CrashRestartSweepIsIdenticalAcrossThreadCounts) {
   const auto reference = scenario::ScenarioRunner::run_sweep(crash_restart_sweep(1));
   ASSERT_EQ(reference.size(), 6u);
@@ -534,6 +558,31 @@ TEST(SnapshotCompaction, CrashRestartSweepIsIdenticalAcrossThreadCounts) {
 
   for (const unsigned threads : {2u, 8u}) {
     const auto got = scenario::ScenarioRunner::run_sweep(crash_restart_sweep(threads));
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], reference[i]) << "threads=" << threads << " trial " << i;
+    }
+  }
+}
+
+TEST(SnapshotCompaction, GroupCommitCrashRestartSweepIsIdenticalAcrossThreadCounts) {
+  const auto reference = scenario::ScenarioRunner::run_sweep(group_commit_crash_restart_sweep(1));
+  ASSERT_EQ(reference.size(), 6u);
+  std::size_t ok = 0;
+  std::uint64_t firings = 0;
+  for (const auto& r : reference) {
+    EXPECT_TRUE(r.leader_elected);
+    EXPECT_EQ(r.invariant_violations, 0u);
+    ASSERT_EQ(r.mix.size(), 1u);
+    EXPECT_GT(r.mix[0].completed, 0u);
+    firings += r.crash_firings;
+    for (const auto& f : r.failovers) ok += f.ok ? 1 : 0;
+  }
+  EXPECT_GT(firings, 0u);  // plugs were pulled while the pool ran
+  EXPECT_GT(ok, 0u);
+
+  for (const unsigned threads : {2u, 8u}) {
+    const auto got = scenario::ScenarioRunner::run_sweep(group_commit_crash_restart_sweep(threads));
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], reference[i]) << "threads=" << threads << " trial " << i;
