@@ -22,27 +22,27 @@
 //   * Replicas with equal last_applied must have byte-identical state-machine
 //     serializations, and so must a durable snapshot image and any replica
 //     state at the image's index (applied-prefix equality). Serializations
-//     are compared by a 64-bit digest over the same lanes, not stored.
+//     are compared by their hash::digest, not stored.
 //
-// The fingerprint is a 64-bit word-at-a-time hash over (term, config-change
-// kind and target, payload length, every payload byte): four independent
-// lanes read the payload as 8-byte words (a 1-7 byte tail is zero-padded),
-// then one final mix; the low bit is forced to 1 so 0 means "unset". A
-// divergent commit escaping detection needs a 63-bit collision. Every
-// replica hashes the bytes it holds itself, so a fault in copying or
-// replaying an entry shows up as an apply divergence.
+// The fingerprint is the four-lane mix of common/hash.hpp seeded by term,
+// config-change kind, config target and the payload's digest (which covers
+// its length and every byte); the low bit is forced to 1 so 0 means
+// "unset". A divergent commit escaping detection needs a 63-bit collision.
+// Every replica's fingerprint reads the digest of the block it holds itself.
+// Blocks are immutable and a block computes its digest once, from its own
+// bytes, so replicas sharing the leader's block hash it once between them,
+// while a replica holding other bytes (a bad copy or replay) holds another
+// block and shows up as an apply divergence.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/types.hpp"
 #include "raft/observer.hpp"
 #include "raft/types.hpp"
@@ -111,8 +111,7 @@ class InvariantChecker final : public Observer {
   /// the serialized state machine. Only a 64-bit digest of the first
   /// serialization seen at each index is kept, so the audit holds no copies.
   void audit_applied_state(NodeId node, LogIndex last_applied, std::string_view serialized) {
-    const std::uint64_t digest = hash_bytes(
-        {kPrime1 + kPrime2, kPrime2, 0, round(0 - kPrime1, serialized.size())}, serialized);
+    const std::uint64_t digest = hash::digest(serialized);
     const auto [it, inserted] = state_by_applied_.try_emplace(last_applied, node, digest);
     if (!inserted && it->second.second != digest) {
       record("applied-prefix equality: nodes " + std::to_string(it->second.first) + " and " +
@@ -140,16 +139,19 @@ class InvariantChecker final : public Observer {
 
   /// 64-bit fingerprint of a log entry's identity (exposed for tests).
   [[nodiscard]] static std::uint64_t fingerprint(const LogEntry& entry) noexcept {
-    const std::string_view payload = entry.command.payload.view();
+    using hash::kPrime1;
+    using hash::kPrime2;
+    using hash::round;
     const auto target = static_cast<std::int64_t>(entry.command.config_target);
     // Each identity field seeds its own lane. A round is a bijection of its
-    // input word and of the running lane, so changing one field, or one
-    // payload word at a fixed length, always changes the fingerprint.
-    return hash_bytes({round(kPrime1 + kPrime2, static_cast<std::uint64_t>(entry.term)),
-                       round(kPrime2, static_cast<std::uint64_t>(entry.command.config_change)),
-                       round(0, static_cast<std::uint64_t>(target)),
-                       round(0 - kPrime1, static_cast<std::uint64_t>(payload.size()))},
-                      payload);
+    // input word and of the running lane, so changing one field, or the
+    // payload's digest, always changes the fingerprint.
+    return hash::hash_bytes(
+        {round(kPrime1 + kPrime2, static_cast<std::uint64_t>(entry.term)),
+         round(kPrime2, static_cast<std::uint64_t>(entry.command.config_change)),
+         round(0, static_cast<std::uint64_t>(target)),
+         round(0 - kPrime1, entry.command.payload.digest())},
+        {});
   }
 
  private:
@@ -178,56 +180,6 @@ class InvariantChecker final : public Observer {
   void record(std::string what) {
     ++count_;
     if (violations_.size() < kMaxStored) violations_.push_back(Violation{std::move(what)});
-  }
-
-  /// Fold `bytes` into four seeded lanes as 8-byte words (a 1-7 byte tail is
-  /// zero-padded), then mix the lanes down to one word with the low bit set.
-  /// The caller seeds a lane with the length, which tells "a" from "a\0".
-  [[nodiscard]] static std::uint64_t hash_bytes(std::array<std::uint64_t, 4> lane,
-                                                std::string_view bytes) noexcept {
-    const char* p = bytes.data();
-    const std::size_t n = bytes.size();
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-      lane[0] = round(lane[0], load_word(p + i));
-      lane[1] = round(lane[1], load_word(p + i + 8));
-      lane[2] = round(lane[2], load_word(p + i + 16));
-      lane[3] = round(lane[3], load_word(p + i + 24));
-    }
-    std::size_t k = 0;
-    for (; i + 8 <= n; i += 8) {
-      lane[k] = round(lane[k], load_word(p + i));
-      ++k;
-    }
-    if (i < n) {
-      std::uint64_t tail = 0;
-      std::memcpy(&tail, p + i, n - i);
-      lane[k] = round(lane[k], tail);
-    }
-    std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
-                      std::rotl(lane[3], 18);
-    h ^= h >> 33;
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    h ^= h >> 32;
-    return h | 1;
-  }
-
-  static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
-  static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
-  static constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
-
-  [[nodiscard]] static std::uint64_t round(std::uint64_t lane, std::uint64_t word) noexcept {
-    return std::rotl(lane + word * kPrime2, 31) * kPrime1;
-  }
-
-  /// Native-endian 8-byte load; memcpy keeps it free of alignment and
-  /// aliasing assumptions (fingerprints are only compared in-process).
-  [[nodiscard]] static std::uint64_t load_word(const char* p) noexcept {
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof w);
-    return w;
   }
 
   /// Term-indexed leader of each term; kNoNode = none seen. Terms and node

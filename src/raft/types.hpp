@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/types.hpp"
 
 namespace dyna::raft {
@@ -61,10 +62,16 @@ enum class ConfigChange : std::uint8_t {
 /// every replica shares, written in place, would corrupt every replica the
 /// same way, and the checker's apply-divergence test could not see it.
 ///
-/// The count is not atomic. A payload and all its copies belong to one
-/// cluster (the client that encoded it, the network, the replicas, their
-/// storage), which one thread drives at a time — the argument
-/// kv::SharedValue makes for snapshot images.
+/// digest() is the hash::digest of the bytes. A shared block computes it on
+/// first use and keeps it, so n replicas applying one block hash it once.
+/// The cached digest vouches for exactly the bytes every holder of that block
+/// reads, because nothing can write them; a replica holding different bytes
+/// holds a different block, with its own digest.
+///
+/// The count and the cached digest are not atomic. A payload and all its
+/// copies belong to one cluster (the client that encoded it, the network,
+/// the replicas, their storage), which one thread drives at a time — the
+/// argument kv::SharedValue makes for snapshot images.
 class Payload {
  public:
   static constexpr std::size_t kInline = 16;
@@ -76,7 +83,7 @@ class Payload {
       std::copy(bytes.begin(), bytes.end(), s_.bytes);
       size_ = static_cast<std::uint8_t>(bytes.size());
     } else {
-      s_.block = new Block{1, std::move(bytes)};
+      s_.block = new Block{1, 0, std::move(bytes)};
       size_ = kShared;
     }
   }
@@ -109,6 +116,14 @@ class Payload {
   [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
+  /// hash::digest(view()): hashed once per shared block, on each call inline.
+  [[nodiscard]] std::uint64_t digest() const noexcept {
+    if (size_ != kShared) return hash::digest(view());
+    Block& b = *s_.block;
+    if (b.digest == 0) b.digest = hash::digest(b.bytes);
+    return b.digest;
+  }
+
   /// Byte equality; whether two payloads share a block is irrelevant.
   friend bool operator==(const Payload& a, const Payload& b) noexcept {
     return a.view() == b.view();
@@ -117,6 +132,7 @@ class Payload {
  private:
   struct Block {
     std::uint64_t refs;
+    std::uint64_t digest;  ///< 0 until first computed (a digest is never 0)
     std::string bytes;
   };
   /// Inline bytes, or the shared block when size_ == kShared.

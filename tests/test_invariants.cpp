@@ -137,6 +137,73 @@ TEST(InvariantChecker, FingerprintSeesEveryPayloadByte) {
   EXPECT_EQ(seen.size(), payloads);
 }
 
+// ---- One digest per payload block -------------------------------------------------
+
+/// `len` bytes that differ from position to position.
+std::string patterned(std::size_t len) {
+  std::string s(len, '\0');
+  for (std::size_t i = 0; i < len; ++i) s[i] = static_cast<char>('a' + (i * 7) % 23);
+  return s;
+}
+
+TEST(InvariantChecker, PayloadDigestIsTheHashOfItsBytes) {
+  // Inline (<= 16 B) and shared payloads alike; a copy shares the block and
+  // so its cached digest.
+  for (const std::size_t len : {0, 1, 16, 17, 18'000}) {
+    const raft::Payload p(patterned(len));
+    const raft::Payload copy = p;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_EQ(p.digest(), hash::digest(p.view())) << "len " << len;
+    EXPECT_EQ(p.digest(), p.digest()) << "len " << len;
+    EXPECT_EQ(copy.digest(), hash::digest(patterned(len))) << "len " << len;
+  }
+}
+
+TEST(InvariantChecker, RebuiltPayloadFingerprintsEqualBeforeAndAfterCaching) {
+  // A replica whose entry holds its own block with the same bytes (a replay,
+  // a re-encoding) must agree with the original, whichever block hashes
+  // first.
+  for (const std::size_t len : {5, 16, 17, 200, 18'000}) {
+    const LogEntry original = make_entry(7, 2, patterned(len));
+    LogEntry rebuilt = original;
+    rebuilt.command.payload = raft::Payload(std::string(original.command.payload.view()));
+    if (len > raft::Payload::kInline) {
+      ASSERT_NE(rebuilt.command.payload.data(), original.command.payload.data());
+    }
+    // Before: the original block has not cached its digest yet.
+    const std::uint64_t from_rebuilt = InvariantChecker::fingerprint(rebuilt);
+    EXPECT_EQ(from_rebuilt, InvariantChecker::fingerprint(original)) << "len " << len;
+    // After: both blocks now hold a cached digest.
+    EXPECT_EQ(InvariantChecker::fingerprint(original), from_rebuilt) << "len " << len;
+    LogEntry rebuilt_late = original;
+    rebuilt_late.command.payload = raft::Payload(std::string(original.command.payload.view()));
+    EXPECT_EQ(InvariantChecker::fingerprint(rebuilt_late), from_rebuilt) << "len " << len;
+  }
+}
+
+TEST(InvariantChecker, FlippedByteTripsApplyDivergenceAfterLeaderBlockCached) {
+  // The leader applies a group-commit-sized entry first, which caches its
+  // block's digest; followers sharing the block agree. A follower entry at
+  // the same index whose bytes differ in one bit anywhere still diverges.
+  const LogEntry leader = make_entry(9, 3, patterned(18'000));
+  InvariantChecker chk;
+  chk.on_entry_committed(0, leader, TimePoint{});
+  const LogEntry shared = leader;
+  chk.on_entry_committed(1, shared, TimePoint{});
+  EXPECT_TRUE(chk.ok());
+  std::uint64_t expected = 0;
+  NodeId follower = 2;
+  for (const std::size_t pos : {std::size_t{0}, std::size_t{8'999}, std::size_t{17'999}}) {
+    std::string bytes(leader.command.payload.view());
+    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x01);
+    LogEntry bad = leader;
+    bad.command.payload = std::move(bytes);
+    chk.on_entry_committed(follower++, bad, TimePoint{});
+    ++expected;
+    ASSERT_EQ(chk.count(), expected) << "flip at " << pos;
+    EXPECT_NE(chk.violations().back().what.find("apply divergence"), std::string::npos);
+  }
+}
+
 // ---- End-of-trial audit helpers ---------------------------------------------------
 
 TEST(InvariantChecker, AuditLogEntryFlagsCorruptedFollowerLog) {
