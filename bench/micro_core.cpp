@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -374,23 +375,48 @@ BENCHMARK(BM_KvFreeze)->Unit(benchmark::kMicrosecond);
 void BM_KvApplyPut(benchmark::State& state) {
   // Steady-state apply of one group-commit frame of 32 PUTs (64-1024 byte
   // values) on a 10k-key store: every key exists, so each PUT is an index
-  // lookup plus a value overwrite. Cycles through 64 prebuilt frames.
+  // lookup plus a swap of the value's handle for a slice of the frame.
+  // Frames are prebuilt raft::Payloads, so only apply is timed. /1: one
+  // store cycles through 64 frames. /5: kv_write's shape. Five replicas
+  // apply every frame; each iteration applies a fresh one from a window of
+  // the last 256, which is rebuilt (dropping the old frames) outside the
+  // timed region; every 256 frames each replica freezes an image that
+  // replaces its previous one, as a compaction does.
+  const auto replicas = static_cast<std::size_t>(state.range(0));
+  const std::size_t window = replicas == 1 ? 64 : 256;
   Rng rng(7);
-  kv::KvStateMachine sm;
-  for (std::size_t k = 0; k < 10000; ++k) sm.apply(random_put(rng, k));
-  std::vector<std::string> frames(64);
-  for (std::string& frame : frames) {
-    for (int i = 0; i < 32; ++i) kv::batch_append(frame, random_put(rng, rng.uniform_index(10000)));
+  std::vector<kv::KvStateMachine> stores(replicas);
+  for (std::size_t k = 0; k < 10000; ++k) {
+    const raft::Payload put = random_put(rng, k);
+    for (kv::KvStateMachine& sm : stores) sm.apply(put);
   }
+  std::vector<raft::Payload> frames(window);
+  const auto build_frames = [&] {
+    for (raft::Payload& frame : frames) {
+      std::string bytes;
+      for (int i = 0; i < 32; ++i) kv::batch_append(bytes, random_put(rng, rng.uniform_index(10000)));
+      frame = std::move(bytes);
+    }
+  };
+  build_frames();
+  std::vector<std::shared_ptr<const kv::KvStateMachine::Image>> images(replicas);
   std::size_t next = 0;
   for (auto _ : state) {
-    const std::string results = sm.apply(frames[next]);
-    benchmark::DoNotOptimize(results.data());
-    next = (next + 1) % frames.size();
+    for (kv::KvStateMachine& sm : stores) {
+      const std::string results = sm.apply(frames[next], /*reply=*/&sm == &stores.front());
+      benchmark::DoNotOptimize(results.data());
+    }
+    if (++next < window) continue;
+    next = 0;
+    if (replicas == 1) continue;
+    for (std::size_t r = 0; r < replicas; ++r) images[r] = stores[r].freeze();
+    state.PauseTiming();
+    build_frames();
+    state.ResumeTiming();
   }
-  state.SetItemsProcessed(state.iterations() * 32);
+  state.SetItemsProcessed(state.iterations() * 32 * static_cast<std::int64_t>(replicas));
 }
-BENCHMARK(BM_KvApplyPut);
+BENCHMARK(BM_KvApplyPut)->Arg(1)->Arg(5);
 
 void BM_ClusterHeartbeatSecond(benchmark::State& state) {
   // One simulated second of idle n-server cluster traffic (heartbeats,

@@ -252,7 +252,7 @@ void Cluster::build_node(NodeId id, bool as_learner) {
                                                storages_[idx], cfg_.policy_factory(id),
                                                std::move(node_rng));
   node->set_apply([this, idx](const raft::LogEntry& entry, bool reply) {
-    return state_machines_[idx]->apply(entry.command.payload.view(), reply);
+    return state_machines_[idx]->apply(entry.command.payload, reply);
   });
   // Snapshots carry the state machine's frozen image; restore adopts it.
   // Every image in this cluster was frozen by one of its own KV replicas.
@@ -265,10 +265,10 @@ void Cluster::build_node(NodeId id, bool as_learner) {
                            });
   // ReadIndex wiring (engages only when raft.read_index is set): the kv
   // layer classifies reads, and a served read queries the state machine
-  // directly — apply_one, since a lone GET is never a batch frame.
+  // directly from a view (a lone GET is never a batch frame).
   node->set_read_hooks(
       [](std::string_view payload) { return kv::is_read_only(payload); },
-      [this, idx](std::string_view payload) { return state_machines_[idx]->apply_one(payload); });
+      [this, idx](std::string_view payload) { return state_machines_[idx]->read(payload); });
   node->add_observer(&probe_);
   node->add_observer(&checker_);
   if (perf_) node->add_observer(perf_.get());

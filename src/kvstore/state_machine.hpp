@@ -11,7 +11,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,79 +22,6 @@
 
 namespace dyna::kv {
 
-/// A value's bytes in one allocation behind a small header that carries a
-/// reference count. The live store is normally the only owner, and then a
-/// write overwrites the bytes in place (the std::string::assign path, same
-/// capacity policy). Copying a handle only bumps the count: that is how a
-/// snapshot image shares every value with the store it was frozen from, and
-/// a write to a value an image still holds goes to a fresh allocation sized
-/// to the new value, leaving the image's bytes untouched.
-///
-/// Unlike raft::Payload, a value is written in place when unshared: the
-/// store is one replica's own, so a bad write diverges that replica alone,
-/// which the checker's applied-state audit sees.
-///
-/// The count is not atomic. An image and the store it came from belong to
-/// one cluster, which one thread drives at a time.
-class SharedValue {
- public:
-  SharedValue() noexcept = default;
-  explicit SharedValue(std::string_view bytes) { assign(bytes); }
-  SharedValue(const SharedValue& other) noexcept : block_(other.block_) {
-    if (block_ != nullptr) ++block_->refs;
-  }
-  SharedValue(SharedValue&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
-  SharedValue& operator=(SharedValue other) noexcept {
-    std::swap(block_, other.block_);
-    return *this;
-  }
-  ~SharedValue() { release(); }
-
-  [[nodiscard]] std::string_view view() const noexcept {
-    return block_ == nullptr ? std::string_view() : std::string_view(bytes(), block_->size);
-  }
-
-  /// Replace the bytes: in place when this handle is the sole owner and the
-  /// capacity suffices. A sole owner outgrowing its block moves to one of
-  /// doubled capacity, as std::string does; a block an image still shares is
-  /// left to the image, and the fresh one holds exactly the new value (its
-  /// inherited slack would be dead weight in every image it later joins).
-  void assign(std::string_view v) {
-    DYNA_EXPECTS(v.size() <= kMaxSize);
-    if (block_ == nullptr || block_->refs > 1 || v.size() > block_->capacity) {
-      const std::size_t capacity =
-          block_ == nullptr || block_->refs > 1
-              ? v.size()
-              : std::min(std::max(v.size(), 2 * std::size_t{block_->capacity}), kMaxSize);
-      Header* fresh = allocate(capacity);
-      release();
-      block_ = fresh;
-    }
-    std::copy(v.begin(), v.end(), bytes());
-    block_->size = static_cast<std::uint32_t>(v.size());
-  }
-
- private:
-  struct Header {
-    std::uint32_t refs;
-    std::uint32_t size;
-    std::uint32_t capacity;
-  };
-  static constexpr std::size_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
-
-  [[nodiscard]] static Header* allocate(std::size_t capacity) {
-    return ::new (::operator new(sizeof(Header) + capacity))
-        Header{1, 0, static_cast<std::uint32_t>(capacity)};
-  }
-  [[nodiscard]] char* bytes() const noexcept { return reinterpret_cast<char*>(block_ + 1); }
-  void release() noexcept {
-    if (block_ != nullptr && --block_->refs == 0) ::operator delete(block_);
-    block_ = nullptr;
-  }
-
-  Header* block_ = nullptr;
-};
-
 /// In-memory KV store with a global revision counter (mirrors etcd's
 /// semantics at the granularity the experiments need — the Op vocabulary is
 /// point ops only, so a hash index is observationally equivalent to etcd's
@@ -105,26 +31,33 @@ class SharedValue {
 /// linearly probed index of (hash tag, entry position) slots, at most 3/4
 /// full. A lookup hashes the key once and usually settles on its first slot
 /// with one key comparison; DEL swap-removes the entry and backward-shifts
-/// the probe run, so the index never holds tombstones. Apply decodes
-/// commands to views and allocates only where the store must own new bytes
-/// (a new key, a value outgrowing its capacity, or a write to a value a
-/// snapshot image still shares), so replicating a PUT stream across a
-/// 65-node cluster does not turn into an allocator benchmark.
+/// the probe run, so the index never holds tombstones.
+///
+/// Values: apply writes no value bytes. A value is a raft::Payload slice of
+/// the committed payload it was written by (a value of at most
+/// Payload::kInline bytes is copied inline instead), so every replica's
+/// store points into the one block its log, its peers' logs and the client
+/// share, and a PUT costs an index lookup and a reference-count bump. The
+/// price: a value longer than kInline pins the block it was committed in,
+/// a whole group-commit frame, until its key is overwritten or deleted,
+/// even after the log has compacted past that entry. Only a new key can
+/// allocate (its key string and entry slot).
 ///
 /// Snapshots: freeze() copies the entry vector into an immutable Image that
 /// shares every value's bytes by reference count — O(keys), no value bytes
-/// copied. Bytes in the snapshot() format are produced only when something
-/// reads them (Image::bytes()), and restoring from an Image adopts its
-/// entries without a serialize/parse round trip.
+/// copied. A later write replaces the store's handle, never the bytes, so
+/// nothing the image holds can change. Bytes in the snapshot() format are
+/// produced only when something reads them (Image::bytes()), and restoring
+/// from an Image adopts its entries without a serialize/parse round trip.
 class KvStateMachine {
  public:
   struct Entry {
     std::string key;
-    SharedValue value;
+    raft::Payload value;
   };
 
   /// The store frozen at one revision. Immutable; later writes to the store
-  /// it came from never reach it (see SharedValue).
+  /// it came from never reach it (they replace values, never write them).
   class Image final : public raft::SnapshotImage {
    public:
     Image(std::uint64_t revision, const std::vector<Entry>& entries)
@@ -143,58 +76,33 @@ class KvStateMachine {
   /// Apply one committed command payload and return the client-visible
   /// result. With `reply` false (a replica that answers no client) the
   /// state and revision change exactly as with it true, but the result is
-  /// left empty. The payload is borrowed for the call (the log entry owns
-  /// it) and decoded zero-copy.
-  std::string apply(std::string_view payload, bool reply = true) {
-    if (is_batch(payload)) {
+  /// left empty. The payload is decoded zero-copy, and stored values are
+  /// slices of it.
+  std::string apply(const raft::Payload& payload, bool reply = true) {
+    const std::string_view bytes = payload.view();
+    if (is_batch(bytes)) {
       // Group-commit frame: apply members in order, return member results in
       // the same length-prefixed framing (the leader fans them back out to
       // the per-command client completions). A malformed member poisons only
       // its own result slot — the frame keeps its arity either way.
       std::string out;
-      const bool ok = for_each_batched(payload, [&](std::string_view member) {
-        const std::string result = apply_one(member, reply);
+      const bool ok = for_each_batched(bytes, [&](std::string_view member) {
+        const std::string result = apply_command(payload, member, reply);
         if (reply) detail::encode_field(out, result);
       });
       if (!ok) return "ERR malformed-batch";
       return out;
     }
-    return apply_one(payload, reply);
+    return apply_command(payload, bytes, reply);
   }
 
-  /// Apply a single (non-batch) command payload; `reply` as for apply().
-  std::string apply_one(std::string_view payload, bool reply = true) {
-    const auto cmd = decode_view(payload);
+  /// Serve a GET without the log (a ReadIndex read): the result apply would
+  /// return for it, from a view, with no Payload built.
+  [[nodiscard]] std::string read(std::string_view command) const {
+    const auto cmd = decode_view(command);
     if (!cmd) return "ERR malformed";
-    switch (cmd->op) {
-      case Op::Put: {
-        ++revision_;
-        put(cmd->key, cmd->value);
-        return reply ? ok_result(revision_) : std::string();
-      }
-      case Op::Get: {
-        if (!reply) return {};
-        const auto value = get(cmd->key);
-        return value ? std::string(*value) : "(nil)";
-      }
-      case Op::Del: {
-        const std::size_t pos = probe(cmd->key, tag_of(cmd->key));
-        if (slots_[pos].entry == kEmpty) return "(nil)";
-        erase_at(pos);
-        ++revision_;
-        return reply ? ok_result(revision_) : std::string();
-      }
-      case Op::Cas: {
-        const Slot slot = slots_[probe(cmd->key, tag_of(cmd->key))];
-        if (slot.entry != kEmpty && entries_[slot.entry].value.view() == cmd->expected) {
-          ++revision_;
-          entries_[slot.entry].value.assign(cmd->value);
-          return reply ? ok_result(revision_) : std::string();
-        }
-        return "FAIL";
-      }
-    }
-    return "ERR unknown-op";
+    DYNA_EXPECTS(cmd->op == Op::Get);
+    return get_result(cmd->key);
   }
 
   /// Deterministic serialization: the revision, then every (key, value) pair
@@ -226,7 +134,7 @@ class KvStateMachine {
       const auto key = detail::decode_field(blob, pos);
       const auto value = detail::decode_field(blob, pos);
       DYNA_EXPECTS(key.has_value() && value.has_value());
-      put(*key, *value);
+      put(*key, raft::Payload(*value));
     }
   }
 
@@ -247,8 +155,8 @@ class KvStateMachine {
   [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// The value stored under `key`, if any (a view into the store, valid
-  /// until the next apply).
+  /// The value stored under `key`, if any (a view of the stored value,
+  /// valid until the next apply).
   [[nodiscard]] std::optional<std::string_view> get(std::string_view key) const {
     const Slot slot = slots_[probe(key, tag_of(key))];
     if (slot.entry == kEmpty) return std::nullopt;
@@ -298,11 +206,48 @@ class KvStateMachine {
     slots_[pos] = slot;
   }
 
-  void put(std::string_view key, std::string_view value) {
+  /// Apply the command `command`, which lies inside `whole`'s bytes.
+  std::string apply_command(const raft::Payload& whole, std::string_view command, bool reply) {
+    const auto cmd = decode_view(command);
+    if (!cmd) return "ERR malformed";
+    switch (cmd->op) {
+      case Op::Put: {
+        ++revision_;
+        put(cmd->key, whole.slice(cmd->value));
+        return reply ? ok_result(revision_) : std::string();
+      }
+      case Op::Get:
+        return reply ? get_result(cmd->key) : std::string();
+      case Op::Del: {
+        const std::size_t pos = probe(cmd->key, tag_of(cmd->key));
+        if (slots_[pos].entry == kEmpty) return "(nil)";
+        erase_at(pos);
+        ++revision_;
+        return reply ? ok_result(revision_) : std::string();
+      }
+      case Op::Cas: {
+        const Slot slot = slots_[probe(cmd->key, tag_of(cmd->key))];
+        if (slot.entry != kEmpty && entries_[slot.entry].value.view() == cmd->expected) {
+          ++revision_;
+          entries_[slot.entry].value = whole.slice(cmd->value);
+          return reply ? ok_result(revision_) : std::string();
+        }
+        return "FAIL";
+      }
+    }
+    return "ERR unknown-op";
+  }
+
+  [[nodiscard]] std::string get_result(std::string_view key) const {
+    const auto value = get(key);
+    return value ? std::string(*value) : "(nil)";
+  }
+
+  void put(std::string_view key, raft::Payload value) {
     const std::uint32_t tag = tag_of(key);
     std::size_t pos = probe(key, tag);
     if (slots_[pos].entry != kEmpty) {
-      entries_[slots_[pos].entry].value.assign(value);  // in place unless an image shares it
+      entries_[slots_[pos].entry].value = std::move(value);
       return;
     }
     DYNA_EXPECTS(entries_.size() < kEmpty);
@@ -315,7 +260,7 @@ class KvStateMachine {
       pos = probe(key, tag);
     }
     slots_[pos] = Slot{tag, static_cast<std::uint32_t>(entries_.size())};
-    entries_.push_back(Entry{std::string(key), SharedValue(value)});
+    entries_.push_back(Entry{std::string(key), std::move(value)});
   }
 
   /// Remove the entry whose slot is `pos`.

@@ -4,12 +4,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/types.hpp"
 
@@ -58,20 +61,27 @@ enum class ConfigChange : std::uint8_t {
 /// the count. So the bytes a client encodes are the bytes every replica's
 /// log, every durable log and every in-flight message hold.
 ///
+/// slice() makes a payload of some of those bytes. One of at most kInline
+/// bytes is copied inline and pins nothing; a longer one shares the block,
+/// and keeps the block alive for as long as it lives. A shared handle keeps
+/// its own data pointer and length, so view() never reads the block. This
+/// is how a KV store holds a PUT's value: a slice of the committed entry.
+///
 /// There is no mutating accessor and no write-in-place path: bytes that
 /// every replica shares, written in place, would corrupt every replica the
 /// same way, and the checker's apply-divergence test could not see it.
 ///
-/// digest() is the hash::digest of the bytes. A shared block computes it on
-/// first use and keeps it, so n replicas applying one block hash it once.
-/// The cached digest vouches for exactly the bytes every holder of that block
-/// reads, because nothing can write them; a replica holding different bytes
-/// holds a different block, with its own digest.
+/// digest() is the hash::digest of the bytes. A handle that spans its whole
+/// block computes it on first use and keeps it in the block, so n replicas
+/// applying one block hash it once. The cached digest vouches for exactly
+/// the bytes every such handle reads, because nothing can write them; a
+/// replica holding different bytes holds a different block, with its own
+/// digest. A slice hashes its own bytes on each call.
 ///
 /// The count and the cached digest are not atomic. A payload and all its
-/// copies belong to one cluster (the client that encoded it, the network,
-/// the replicas, their storage), which one thread drives at a time — the
-/// argument kv::SharedValue makes for snapshot images.
+/// copies and slices belong to one cluster (the client that encoded it, the
+/// network, the replicas, their logs, stores and snapshot images), which
+/// one thread drives at a time.
 class Payload {
  public:
   static constexpr std::size_t kInline = 16;
@@ -83,7 +93,10 @@ class Payload {
       std::copy(bytes.begin(), bytes.end(), s_.bytes);
       size_ = static_cast<std::uint8_t>(bytes.size());
     } else {
-      s_.block = new Block{1, 0, std::move(bytes)};
+      DYNA_EXPECTS(bytes.size() <= kMaxShared);
+      Block* block = new Block{1, 0, std::move(bytes)};
+      s_.shared = Shared{block, block->bytes.data()};
+      len_ = static_cast<std::uint32_t>(block->bytes.size());
       size_ = kShared;
     }
   }
@@ -95,31 +108,59 @@ class Payload {
   Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
       : Payload(std::string(bytes)) {}
 
-  Payload(const Payload& other) noexcept : s_(other.s_), size_(other.size_) {
-    if (size_ == kShared) ++s_.block->refs;
+  Payload(const Payload& other) noexcept
+      : s_(other.s_), size_(other.size_), len_(other.len_) {
+    if (size_ == kShared) ++s_.shared.block->refs;
   }
-  Payload(Payload&& other) noexcept : s_(other.s_), size_(std::exchange(other.size_, 0)) {}
-  Payload& operator=(Payload other) noexcept {
-    std::swap(s_, other.s_);
-    std::swap(size_, other.size_);
+  Payload(Payload&& other) noexcept
+      : s_(other.s_), size_(std::exchange(other.size_, 0)), len_(other.len_) {}
+  Payload& operator=(const Payload& other) noexcept { return *this = Payload(other); }
+  /// A plain release-and-take rather than copy-and-swap: a store replaces a
+  /// value this way on every PUT, and swapping the union through a
+  /// temporary measurably slowed log replay.
+  Payload& operator=(Payload&& other) noexcept {
+    if (this == &other) return *this;
+    release();
+    s_ = other.s_;
+    size_ = std::exchange(other.size_, 0);
+    len_ = other.len_;
     return *this;
   }
-  ~Payload() {
-    if (size_ == kShared && --s_.block->refs == 0) delete s_.block;
-  }
+  ~Payload() { release(); }
 
   [[nodiscard]] std::string_view view() const noexcept {
-    return size_ == kShared ? std::string_view(s_.block->bytes)
+    return size_ == kShared ? std::string_view(s_.shared.data, len_)
                             : std::string_view(s_.bytes, size_);
   }
   [[nodiscard]] const char* data() const noexcept { return view().data(); }
   [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// hash::digest(view()): hashed once per shared block, on each call inline.
+  /// The bytes `inner`, which must lie inside view(), as a payload: copied
+  /// inline up to kInline bytes, otherwise sharing (and pinning) the block.
+  [[nodiscard]] Payload slice(std::string_view inner) const {
+    const std::string_view all = view();
+    DYNA_EXPECTS(inner.empty() ||
+                 (std::less_equal<>{}(all.data(), inner.data()) &&
+                  std::less_equal<>{}(inner.data() + inner.size(), all.data() + all.size())));
+    Payload out;
+    if (inner.size() <= kInline) {
+      std::copy(inner.begin(), inner.end(), out.s_.bytes);
+      out.size_ = static_cast<std::uint8_t>(inner.size());
+    } else {
+      ++s_.shared.block->refs;
+      out.s_.shared = Shared{s_.shared.block, inner.data()};
+      out.len_ = static_cast<std::uint32_t>(inner.size());
+      out.size_ = kShared;
+    }
+    return out;
+  }
+
+  /// hash::digest(view()): hashed once per block by the handles that span
+  /// it, on each call for inline payloads and slices.
   [[nodiscard]] std::uint64_t digest() const noexcept {
-    if (size_ != kShared) return hash::digest(view());
-    Block& b = *s_.block;
+    if (size_ != kShared || len_ != s_.shared.block->bytes.size()) return hash::digest(view());
+    Block& b = *s_.shared.block;
     if (b.digest == 0) b.digest = hash::digest(b.bytes);
     return b.digest;
   }
@@ -135,17 +176,29 @@ class Payload {
     std::uint64_t digest;  ///< 0 until first computed (a digest is never 0)
     std::string bytes;
   };
-  /// Inline bytes, or the shared block when size_ == kShared.
+  /// A shared handle: its block, and where its bytes start inside it.
+  struct Shared {
+    Block* block;
+    const char* data;
+  };
+  /// Inline bytes, or the shared handle when size_ == kShared.
   union Storage {
     char bytes[kInline];
-    Block* block;
+    Shared shared;
   };
   static constexpr std::uint8_t kShared = 0xFF;
   static_assert(kInline < kShared);
+  static constexpr std::size_t kMaxShared = std::numeric_limits<std::uint32_t>::max();
+
+  void release() noexcept {
+    if (size_ == kShared && --s_.shared.block->refs == 0) delete s_.shared.block;
+  }
 
   Storage s_{};
   std::uint8_t size_ = 0;  ///< inline length, or kShared
+  std::uint32_t len_ = 0;  ///< a shared handle's length (fills size_'s padding)
 };
+static_assert(sizeof(Payload) == Payload::kInline + 8, "len_ must ride in size_'s padding");
 
 /// A client command as Raft sees it: opaque payload plus routing metadata so
 /// the leader can answer the submitting client once the entry applies.

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -317,18 +318,43 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
   // 100k PUT/GET/DEL/CAS against a std::map model. The live key count swings
   // between growth phases (index growth from its minimum size) and
   // delete-heavy phases (backward-shift deletion in dense probe runs); keys
-  // mix short ones with long shared-prefix ones. Images frozen along the way
+  // mix short ones with long shared-prefix ones. Commands are applied in
+  // group-commit frames of 1-24 members, so values up to Payload::kInline
+  // bytes are copied and longer ones are slices of their frame. Every frame
+  // is dropped before the next image check, so from then on the store and
+  // the images alone keep those bytes alive. Images frozen along the way
   // must still match the model state of their freeze point at the end.
   // Right after each freeze, every 16th key is overwritten with a shorter
-  // value and then a longer one: copy-on-write must leave the image's
-  // bytes intact whether the new value shrinks or outgrows the old block.
+  // value and then a longer one: the store must replace its value, never
+  // write the bytes the image holds.
   Rng rng(24);
+  Rng frame_rng(25);
   KvStateMachine sm;
   std::map<std::string, std::string> model;
   std::uint64_t revision = 0;
   std::vector<std::pair<std::shared_ptr<const KvStateMachine::Image>, std::string>> images;
   std::size_t peak = 0;
   std::size_t deletes = 0;
+
+  std::string frame;                   // members queued for the next frame
+  std::vector<std::string> want;       // the model's result for each of them
+  std::vector<raft::Payload> applied;  // frames applied since the last drop
+  std::size_t frame_cap = 1;
+  const auto queue = [&](const KvCommand& cmd, std::string result) {
+    batch_append(frame, encode(cmd));
+    want.push_back(std::move(result));
+  };
+  const auto flush = [&]() -> ::testing::AssertionResult {
+    frame_cap = 1 + static_cast<std::size_t>(frame_rng.uniform_index(24));
+    if (want.empty()) return ::testing::AssertionSuccess();
+    applied.emplace_back(std::exchange(frame, std::string()));
+    std::vector<std::string> got;
+    const bool ok = for_each_batch_result(
+        sm.apply(applied.back()), [&](std::string_view r) { got.emplace_back(r); });
+    if (ok && got == std::exchange(want, {})) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "frame results differ from the model";
+  };
+
   for (int i = 0; i < 100000; ++i) {
     const bool deleting = (i / 12500) % 2 == 1;
     const std::uint64_t id = rng.uniform_index(4000);
@@ -339,14 +365,12 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
     if (pick < (deleting ? 2u : 5u)) {
       const std::string value(static_cast<std::size_t>(rng.uniform_index(40)),
                               static_cast<char>('a' + i % 26));
-      ASSERT_EQ(sm.apply(encode({Op::Put, key, value, {}})), "OK " + std::to_string(++revision));
+      queue({Op::Put, key, value, {}}, "OK " + std::to_string(++revision));
       model[key] = value;
     } else if (pick < (deleting ? 4u : 7u)) {
-      ASSERT_EQ(sm.apply(encode({Op::Get, key, {}, {}})),
-                it == model.end() ? "(nil)" : it->second);
+      queue({Op::Get, key, {}, {}}, it == model.end() ? "(nil)" : it->second);
     } else if (pick < (deleting ? 9u : 8u)) {
-      const std::string want = it == model.end() ? "(nil)" : "OK " + std::to_string(++revision);
-      ASSERT_EQ(sm.apply(encode({Op::Del, key, {}, {}})), want) << "op " << i;
+      queue({Op::Del, key, {}, {}}, it == model.end() ? "(nil)" : "OK " + std::to_string(++revision));
       if (it != model.end()) {
         model.erase(it);
         ++deletes;
@@ -354,13 +378,18 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
     } else {
       const bool match = it != model.end() && rng.bernoulli(0.5);
       const std::string expected = match ? it->second : "never-stored";
-      const std::string want = match ? "OK " + std::to_string(++revision) : "FAIL";
-      ASSERT_EQ(sm.apply(encode({Op::Cas, key, "cas" + std::to_string(i), expected})), want);
+      queue({Op::Cas, key, "cas" + std::to_string(i), expected},
+            match ? "OK " + std::to_string(++revision) : "FAIL");
       if (match) model[key] = "cas" + std::to_string(i);
     }
-    ASSERT_EQ(sm.size(), model.size());
     peak = std::max(peak, model.size());
+    if (want.size() >= frame_cap) {
+      ASSERT_TRUE(flush()) << "op " << i;
+      ASSERT_EQ(sm.size(), model.size()) << "op " << i;
+    }
     if (i % 10000 == 9999) {
+      ASSERT_TRUE(flush()) << "op " << i;
+      applied.clear();
       ASSERT_EQ(sm.snapshot(), serialize_model(revision, model)) << "op " << i;
       images.emplace_back(sm.freeze(), serialize_model(revision, model));
       std::size_t n = 0;
@@ -369,15 +398,18 @@ TEST(SnapshotImage, RandomizedOpsMatchOrderedMapModel) {
         const std::string shorter = value.substr(0, value.size() / 2);
         const std::string longer(2 * value.size() + 17, static_cast<char>('A' + n % 26));
         for (const std::string& next : {shorter, longer}) {
-          ASSERT_EQ(sm.apply(encode({Op::Put, key, next, {}})),
-                    "OK " + std::to_string(++revision));
+          queue({Op::Put, key, next, {}}, "OK " + std::to_string(++revision));
           value = next;
         }
       }
+      ASSERT_TRUE(flush()) << "op " << i;
+      applied.clear();
       ASSERT_EQ(images.back().first->bytes(), images.back().second) << "op " << i;
       ASSERT_EQ(sm.snapshot(), serialize_model(revision, model)) << "op " << i;
     }
   }
+  ASSERT_TRUE(flush());
+  applied.clear();
   EXPECT_GT(peak, 2000u);
   EXPECT_GT(deletes, 10000u);
   for (const auto& [image, expected] : images) EXPECT_EQ(image->bytes(), expected);

@@ -1,12 +1,18 @@
 // Log replication: commitment, catch-up, conflict resolution, client path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "cluster/cluster.hpp"
+#include "common/hash.hpp"
 #include "kvstore/client.hpp"
 #include "kvstore/command.hpp"
+#include "kvstore/state_machine.hpp"
 
 namespace dyna {
 namespace {
@@ -260,6 +266,187 @@ TEST(Replication, EveryLogAndDurableLogHoldsTheClientsPayloadBytes) {
     }
   }
   EXPECT_GE(puts, 40u);
+}
+
+// ---- Slices: a value is the committed bytes ---------------------------------------
+
+/// `len` bytes that differ at every offset within 26.
+std::string patterned(std::size_t len) {
+  std::string s(len, '\0');
+  for (std::size_t i = 0; i < len; ++i) s[i] = static_cast<char>('a' + (i * 7) % 26);
+  return s;
+}
+
+/// Whether `p` points into `bytes` (an address comparison; reads nothing).
+bool points_into(const char* p, std::string_view bytes) {
+  return std::less_equal<>{}(bytes.data(), p) && std::less<>{}(p, bytes.data() + bytes.size());
+}
+
+TEST(Payload, SliceOfAtMostInlineBytesIsCopiedInline) {
+  const raft::Payload whole(patterned(200));
+  for (const std::size_t len : {0, 1, 8, 16}) {
+    const std::string_view inner = whole.view().substr(50, len);
+    const raft::Payload part = whole.slice(inner);
+    EXPECT_EQ(part.view(), inner) << "len " << len;
+    EXPECT_FALSE(points_into(part.data(), whole.view())) << "len " << len;
+  }
+}
+
+TEST(Payload, LongerSliceViewsTheParentsBytes) {
+  const raft::Payload whole(patterned(200));
+  for (const std::size_t len : {17, 100, 199}) {
+    const std::string_view inner = whole.view().substr(200 - len, len);
+    const raft::Payload part = whole.slice(inner);
+    EXPECT_EQ(part.data(), inner.data()) << "len " << len;
+    EXPECT_EQ(part.size(), len);
+    const raft::Payload copy = part;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_EQ(copy.data(), inner.data()) << "len " << len;
+    // A slice of a slice shares the block too, unless it fits inline.
+    const raft::Payload sub = part.slice(part.view().substr(1));
+    EXPECT_EQ(sub.view(), inner.substr(1));
+    EXPECT_EQ(sub.data() == inner.data() + 1, len - 1 > raft::Payload::kInline) << "len " << len;
+  }
+  EXPECT_EQ(whole.slice(whole.view()).data(), whole.data());
+}
+
+TEST(Payload, SliceOutlivesItsParent) {
+  // A slice pins its block: reading it once every other handle is gone is a
+  // use-after-free (which ASan reports) unless the slice holds a reference.
+  const std::string bytes = patterned(300);
+  raft::Payload tail;
+  raft::Payload inline_part;
+  {
+    raft::Payload middle;
+    {
+      const raft::Payload whole{std::string(bytes)};
+      middle = whole.slice(whole.view().substr(10, 250));
+      inline_part = whole.slice(whole.view().substr(20, 12));
+    }
+    EXPECT_EQ(middle.view(), std::string_view(bytes).substr(10, 250));
+    tail = middle.slice(middle.view().substr(150));
+  }
+  EXPECT_EQ(tail.view(), std::string_view(bytes).substr(160, 100));
+  EXPECT_EQ(inline_part.view(), std::string_view(bytes).substr(20, 12));
+  const raft::Payload moved = std::move(tail);
+  EXPECT_EQ(moved.view(), std::string_view(bytes).substr(160, 100));
+}
+
+TEST(Payload, SliceDigestIsTheHashOfItsOwnBytes) {
+  // Never the block's cached digest, which covers the whole block, and never
+  // cached in the block either: whichever is hashed first, both stay right.
+  for (const bool block_first : {true, false}) {
+    const raft::Payload whole(patterned(18'000));
+    const std::string_view inner = whole.view().substr(1000, 5000);
+    const raft::Payload part = whole.slice(inner);
+    if (block_first) {
+      EXPECT_EQ(whole.digest(), hash::digest(whole.view()));
+    }
+    EXPECT_EQ(part.digest(), hash::digest(inner)) << "block first " << block_first;
+    EXPECT_EQ(whole.digest(), hash::digest(whole.view())) << "block first " << block_first;
+    EXPECT_NE(part.digest(), whole.digest());
+    EXPECT_EQ(part.digest(), hash::digest(inner)) << "block first " << block_first;
+    EXPECT_EQ(whole.slice(whole.view()).digest(), whole.digest());
+    EXPECT_EQ(whole.slice(inner.substr(0, 16)).digest(), hash::digest(inner.substr(0, 16)));
+  }
+}
+
+TEST(Payload, SliceEqualityIsByBytes) {
+  const raft::Payload a(patterned(100));
+  const raft::Payload b(patterned(100));  // its own block, the same bytes
+  ASSERT_NE(a.data(), b.data());
+  EXPECT_EQ(a.slice(a.view().substr(20, 40)), b.slice(b.view().substr(20, 40)));
+  EXPECT_EQ(a.slice(a.view().substr(20, 40)), raft::Payload(a.view().substr(20, 40)));
+  EXPECT_EQ(a.slice(a.view().substr(3, 5)), raft::Payload(a.view().substr(3, 5)));
+  EXPECT_NE(a.slice(a.view().substr(20, 40)), a.slice(a.view().substr(21, 40)));
+  EXPECT_EQ(a.slice(a.view()), b);
+}
+
+TEST(Replication, EveryReplicaStoreViewsTheCommittedFrame) {
+  // A PUT value longer than Payload::kInline is stored on every replica as a
+  // slice of the group-commit frame it was committed in, through a
+  // follower's crash and restart, and the slice keeps the frame readable
+  // after every log, in memory and on disk, has compacted past it.
+  cluster::ClusterConfig cfg = cluster::make_raft_config(5, 17);
+  cfg.raft.group_commit = true;
+  cfg.raft.snapshot_threshold = 16;
+  cfg.raft.snapshot_trailing = 4;
+  ASSERT_TRUE(cfg.durable_log);
+  Cluster c(std::move(cfg));
+  ASSERT_TRUE(c.await_leader(30s));
+  kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(3));
+  int acked = 0;
+  std::map<std::string, std::string> written;
+  const auto put = [&](const std::string& key, std::string value) {
+    written[key] = value;
+    client.put(key, std::move(value), [&](const kv::ClientResult& r) { acked += r.ok ? 1 : 0; });
+  };
+  for (int i = 0; i < 24; ++i) {
+    put("k" + std::to_string(i), i % 4 == 0 ? "short-" + std::to_string(i)
+                                            : std::string(40 + i, static_cast<char>('a' + i)));
+  }
+  c.sim().run_for(2s);
+  ASSERT_EQ(acked, 24);
+
+  // The committed entry each key was written by, as an address range.
+  struct Frame {
+    raft::LogIndex index;
+    std::string_view bytes;
+  };
+  std::map<std::string, Frame> frame_of;
+  bool batched = false;
+  const NodeId leader = c.current_leader();
+  const raft::RaftNode& lead = c.node(leader);
+  for (raft::LogIndex i = lead.first_log_index(); i <= lead.commit_index(); ++i) {
+    const std::string_view payload = lead.log().entry(i).command.payload.view();
+    const auto record = [&](std::string_view command) {
+      const auto cmd = kv::decode_view(command);
+      if (cmd && cmd->op == kv::Op::Put) frame_of[std::string(cmd->key)] = Frame{i, payload};
+    };
+    if (kv::is_batch(payload)) {
+      batched = true;
+      ASSERT_TRUE(kv::for_each_batched(payload, record));
+    } else {
+      record(payload);
+    }
+  }
+  ASSERT_EQ(frame_of.size(), 24u);
+  EXPECT_TRUE(batched);
+  raft::LogIndex newest = 0;
+  for (const auto& [key, frame] : frame_of) newest = std::max(newest, frame.index);
+
+  const auto expect_views = [&](const char* when) {
+    for (const NodeId id : c.server_ids()) {
+      const kv::KvStateMachine& sm = c.state_machine(id);
+      for (const auto& [key, frame] : frame_of) {
+        const auto value = sm.get(key);
+        ASSERT_TRUE(value.has_value()) << when << " node " << id << " key " << key;
+        EXPECT_EQ(*value, written[key]) << when << " node " << id << " key " << key;
+        if (value->size() > raft::Payload::kInline) {
+          EXPECT_TRUE(points_into(value->data(), frame.bytes))
+              << when << " node " << id << " key " << key;
+        }
+      }
+    }
+  };
+  expect_views("at commit");
+
+  // A follower misses enough entries to need the leader's snapshot, and
+  // then every log compacts far past the frames above.
+  const NodeId follower = leader == 0 ? 1 : 0;
+  c.crash(follower);
+  for (int i = 0; i < 120; ++i) {
+    if (i == 60) c.restart(follower);
+    put("fill" + std::to_string(i), std::string(30, 'f'));
+    c.sim().run_for(50ms);
+  }
+  c.sim().run_for(3s);
+  ASSERT_EQ(acked, 24 + 120);
+  ASSERT_EQ(c.current_leader(), leader);
+  for (const NodeId id : c.server_ids()) {
+    EXPECT_GT(c.node(id).first_log_index(), newest) << "node " << id;
+    EXPECT_GE(c.storage(id).log_start().first, newest) << "node " << id;
+  }
+  expect_views("after compaction");
 }
 
 }  // namespace
