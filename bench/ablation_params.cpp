@@ -1,4 +1,5 @@
-// Ablation study over Dynatune's design knobs (DESIGN.md §4).
+// Ablation study over Dynatune's design knobs: the paper's §III-E runtime
+// arguments and engineering clamps (dt::DynatuneConfig), plus the Raft tick.
 //
 // Sweeps, one at a time, on the Fig 4 setup (5 servers, RTT 100 ms, testbed
 // stalls), measuring detection / OTS / false-detection pressure:

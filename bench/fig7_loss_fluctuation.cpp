@@ -46,8 +46,7 @@ scenario::ScenarioSpec fig7_spec(bool fixk, std::size_t servers, Duration hold,
   // no stall process here, only the perf model.
   cluster::CostModel cost;
   cost.charge_tuning = true;  // both variants carry the measurement plumbing
-  spec.perf_cost = cost;
-  spec.perf_bin = 5s;
+  spec.perf_cost = cost;  // the cluster's perf model bins CPU per 5 s
   // 0..30..0 in 5% steps = 13 levels.
   spec.samples = scenario::SamplePlan::every(5s, hold * 13 + 10s, /*kth=*/3);
   return spec;

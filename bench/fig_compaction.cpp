@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -43,26 +42,12 @@
 #include "common/csv.hpp"
 #include "kvstore/command.hpp"
 #include "metrics/report.hpp"
+#include "rss.hpp"
 
 namespace {
 
 using namespace dyna;
 using namespace std::chrono_literals;
-
-/// Current resident set size of this process in MiB (Linux VmRSS), or -1
-/// where /proc is unavailable. Deliberately not VmHWM: the high-water mark
-/// is process-monotone and would carry the first phase's peak into every
-/// later sample.
-double current_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-    }
-  }
-  return -1.0;
-}
 
 double median(std::vector<double> v) {
   const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
@@ -113,7 +98,7 @@ PhaseRow run_soak(bool compaction, std::size_t servers, int soak_sec, int rate,
   row.servers = servers;
 
   std::uint64_t submitted = 0;
-  double peak = current_rss_mib();
+  double peak = bench::current_rss_mib();
   // Four bursts per simulated second keeps per-call overhead low while the
   // stream stays effectively continuous at the Raft timescale (100 ms
   // heartbeats).
@@ -129,7 +114,7 @@ PhaseRow run_soak(bool compaction, std::size_t servers, int soak_sec, int rate,
       }
       c.sim().run_for(250ms);
     }
-    peak = std::max(peak, current_rss_mib());
+    peak = std::max(peak, bench::current_rss_mib());
   }
   c.sim().run_for(2s);  // drain replication of the final burst
 
@@ -227,7 +212,7 @@ PhaseRow run_recovery(bool compaction, std::uint64_t entries, std::size_t reps,
   row.sim_sec = std::chrono::duration<double>(c.sim().now().time_since_epoch()).count();
   row.log_entries = c.node(victim).log().size();
   for (const NodeId id : c.server_ids()) row.snapshots += c.node(id).snapshots_taken();
-  row.peak_rss_mib = current_rss_mib();
+  row.peak_rss_mib = bench::current_rss_mib();
   row.recovery_ms = median(std::move(ms));
 
   if (compaction && c.node(victim).snapshot_index() == 0) {

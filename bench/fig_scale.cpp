@@ -23,11 +23,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
+#include "rss.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sink.hpp"
 
@@ -35,21 +35,6 @@ namespace {
 
 using namespace dyna;
 using namespace std::chrono_literals;
-
-/// Peak resident set size of this process in MiB (Linux VmHWM), or -1 where
-/// /proc is unavailable. Monotone over the process lifetime — the bench runs
-/// sizes ascending, so each row reports the high-water mark through its own
-/// (largest-so-far) configuration.
-double peak_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-    }
-  }
-  return -1.0;
-}
 
 struct ScaleRow {
   std::string variant;
@@ -111,7 +96,7 @@ ScaleRow measure_cell(scenario::Variant variant, std::size_t n, std::size_t kill
     row.sim_sec_per_wall_sec = wall > 0.0 ? to_sec(steady) / wall : -1.0;
     row.link_table_bytes = static_cast<double>(c->network().link_table_bytes());
   }
-  row.peak_rss_mib = peak_rss_mib();
+  row.peak_rss_mib = bench::peak_rss_mib();
   return row;
 }
 

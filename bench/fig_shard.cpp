@@ -55,13 +55,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "metrics/report.hpp"
+#include "rss.hpp"
 #include "scenario/runner.hpp"
 #include "shard/client.hpp"
 #include "shard/router.hpp"
@@ -106,21 +106,6 @@ struct Row {
   double reset_us = -1.0;                 ///< mean per-trial reset (standalone net)
   double peak_rss_mib = -1.0;             ///< process VmHWM after the cell
 };
-
-/// Peak resident set size of this process in MiB (Linux VmHWM), or -1 where
-/// /proc is unavailable. Monotone over the process lifetime — the kilo grid
-/// runs ascending, so each row reports the high-water mark through its own
-/// (largest-so-far) configuration.
-double peak_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-    }
-  }
-  return -1.0;
-}
 
 cluster::ClusterConfig group_config(const BenchParams& p, std::size_t servers,
                                     bool model_cpu) {
@@ -331,7 +316,7 @@ Row run_kilo_cell(const BenchParams& p, std::size_t shards, std::size_t servers)
   for (std::size_t g = 0; g < shards; ++g) row.applied += leader_applied(sc.shard(g));
 
   row.reset_us = measure_reset_us(p, shards, servers);
-  row.peak_rss_mib = peak_rss_mib();
+  row.peak_rss_mib = bench::peak_rss_mib();
   return row;
 }
 

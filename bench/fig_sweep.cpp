@@ -29,13 +29,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
+#include "rss.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sink.hpp"
 
@@ -43,19 +42,6 @@ namespace {
 
 using namespace dyna;
 using namespace std::chrono_literals;
-
-/// Peak resident set size of this process in MiB (Linux VmHWM), or -1 where
-/// /proc is unavailable.
-double peak_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
-    }
-  }
-  return -1.0;
-}
 
 struct CellRow {
   std::string variant;
@@ -155,7 +141,7 @@ int main(int argc, char** argv) {
   const double total_trials = static_cast<double>(reused_results.size());
   const double fresh_tps = total_trials / median(fresh_sec);
   const double reused_tps = total_trials / median(reused_sec);
-  const double rss = peak_rss_mib();
+  const double rss = bench::peak_rss_mib();
 
   metrics::Table table({"variant", "n", "elected", "elect(ms)", "elections", "expiries"});
   for (const CellRow& r : rows) {

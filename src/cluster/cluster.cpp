@@ -153,7 +153,7 @@ void Cluster::reset_finish() {
   // The perf model accumulates per-trial counters: rebuild whenever enabled.
   perf_.reset();
   if (cfg_.perf_cost) {
-    perf_ = std::make_unique<PerfModel>(*cfg_.perf_cost, cfg_.perf_bin);
+    perf_ = std::make_unique<PerfModel>(*cfg_.perf_cost);
   }
 
   storages_.resize(cfg_.servers);

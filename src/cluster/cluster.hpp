@@ -67,7 +67,6 @@ struct ClusterConfig {
 
   /// CPU accounting (Fig 7b); disabled by default to keep hot paths lean.
   std::optional<CostModel> perf_cost;
-  Duration perf_bin = std::chrono::seconds(5);
 
   /// Probabilistic crash points (src/fault/). When set, every server gets a
   /// per-trial Injector seeded from (seed, slot) and a crashed node is

@@ -323,9 +323,6 @@ class RaftLog {
   /// Uncompacted recovery: entries are 1-based from index 1.
   void assign(std::span<const LogEntry> entries) { assign(0, 0, entries); }
 
-  /// Number of sealed runs (introspection / tests).
-  [[nodiscard]] std::size_t sealed_runs() const noexcept { return runs_.size(); }
-
  private:
   /// One sealed slice: `count` entries of `seg` starting at `offset`,
   /// holding log positions [first, first + count).

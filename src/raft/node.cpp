@@ -285,11 +285,7 @@ void RaftNode::on_election_deadline() {
   policy_->on_election_timeout();
   leader_ = kNoNode;
 
-  if (config_.prevote) {
-    start_prevote();
-  } else {
-    start_election();
-  }
+  start_prevote();
 }
 
 // ---- Role transitions -----------------------------------------------------------
@@ -517,10 +513,14 @@ void RaftNode::send_empty_append(std::size_t slot, net::Transport transport) {
   send(peers_[slot], std::move(req), transport, MsgKind::Heartbeat);
 }
 
+/// Replication batching window: entries submitted within it ship in one
+/// AppendEntries per follower (and, with group commit, seal into one batch).
+constexpr Duration kBatchDelay = std::chrono::microseconds(500);
+
 void RaftNode::schedule_flush() {
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  flush_event_ = sim_->schedule_after(config_.batch_delay, [this] {
+  flush_event_ = sim_->schedule_after(kBatchDelay, [this] {
     flush_scheduled_ = false;
     flush_event_ = sim::kInvalidEvent;
     with_crash_guard([this] {
@@ -539,6 +539,9 @@ void RaftNode::flush_replication() {
   }
   maybe_advance_commit();
 }
+
+/// Cap on entries per AppendEntries message.
+constexpr std::size_t kMaxEntriesPerAppend = 4096;
 
 void RaftNode::replicate_to(std::size_t slot) {
   DYNA_EXPECTS(role_ == Role::Leader);
@@ -561,7 +564,7 @@ void RaftNode::replicate_to(std::size_t slot) {
   const LogIndex last = last_log_index();
   if (next <= last) {
     const std::size_t count =
-        std::min<std::size_t>(last - next + 1, config_.max_entries_per_append);
+        std::min<std::size_t>(last - next + 1, kMaxEntriesPerAppend);
     // Shared view into the segment store: the first request of a broadcast
     // round seals the fresh suffix (a move); every later follower aliases
     // the same immutable segment. No per-follower entry copies.
@@ -1055,6 +1058,10 @@ void RaftNode::on_vote_response(NodeId from, const RequestVoteResponse& resp) {
 
 // ---- Client path ----------------------------------------------------------------------
 
+/// Group-commit byte cap: a batch seals early once its members' framed
+/// payloads reach this many bytes (or RaftConfig::max_batch_commands members).
+constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
 void RaftNode::on_client_request(NodeId from, const ClientRequest& req) {
   if (role_ != Role::Leader) {
     ClientResponse resp;
@@ -1087,17 +1094,17 @@ void RaftNode::on_client_request(NodeId from, const ClientRequest& req) {
   }
 
   // Group commit: accumulate into the open batch; seal early when a cap
-  // trips, otherwise let the batch_delay flush seal the window.
+  // trips, otherwise let the kBatchDelay flush seal the window.
   if (config_.group_commit) {
     const std::size_t add = kv::batch_overhead(req.command.payload.view());
-    if (!batch_acc_.empty() && batch_acc_bytes_ + add > config_.max_batch_bytes) {
+    if (!batch_acc_.empty() && batch_acc_bytes_ + add > kMaxBatchBytes) {
       seal_batch();  // this member would overflow the byte cap: seal without it
       flush_replication();
     }
     batch_acc_.push_back(PendingCommand{req.command.payload, from, req.command.client_seq});
     batch_acc_bytes_ += add;
     if (batch_acc_.size() >= config_.max_batch_commands ||
-        batch_acc_bytes_ >= config_.max_batch_bytes) {
+        batch_acc_bytes_ >= kMaxBatchBytes) {
       seal_batch();
       flush_replication();
     } else {

@@ -1,13 +1,12 @@
 // PolicyRegistry: named registration of custom tuning policies.
 //
-// The spec's `config_factory` escape hatch lets a study plug in any
-// cluster-config recipe (ablation knobs, experimental policies), but a bare
-// factory has no identity: sinks used to label such trials with whatever
-// name the factory happened to leave in the config. Registering the factory
-// under a name fixes that — the registry stamps the name (plus the runner's
+// The one way for a study to plug in its own cluster-config recipe
+// (ablation knobs, experimental policies) beside the paper's built-in
+// variants: register a factory under a name and select it through
+// ScenarioSpec::policy. The registry stamps the name (plus the runner's
 // servers/seed) into every config it builds, so custom policies appear in
 // TableSink / CsvSink schemas as first-class variants, sweepable alongside
-// the paper's built-ins through SweepSpec::policies.
+// the built-ins through SweepSpec::policies.
 //
 // The global() instance is process-wide and thread-safe; benches register
 // their policies at startup, sweeps resolve them by name per trial.

@@ -24,9 +24,7 @@ namespace {
 cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t servers,
                                     std::uint64_t seed) {
   cluster::ClusterConfig cfg;
-  if (spec.config_factory) {
-    cfg = spec.config_factory(servers, seed);
-  } else if (!spec.policy.empty()) {
+  if (!spec.policy.empty()) {
     cfg = PolicyRegistry::global().make(spec.policy, servers, seed);
   } else {
     switch (spec.variant) {
@@ -52,12 +50,9 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   cfg.round_service_time = spec.round_service_time;
   cfg.command_service_time = spec.command_service_time;
   if (spec.group_commit) cfg.raft.group_commit = *spec.group_commit;
-  if (spec.max_batch_commands) cfg.raft.max_batch_commands = *spec.max_batch_commands;
-  if (spec.max_batch_bytes) cfg.raft.max_batch_bytes = *spec.max_batch_bytes;
   if (spec.read_index) cfg.raft.read_index = *spec.read_index;
   cfg.durable_log = spec.durable_log;
   cfg.perf_cost = spec.perf_cost;
-  cfg.perf_bin = spec.perf_bin;
   cfg.fault = spec.faults.crash_points;
   if (cfg.fault) cfg.durable_log = true;  // felled nodes must be able to recover
   return cfg;
@@ -641,11 +636,11 @@ class SweepExecutor {
       return ScenarioRunner::run(slot.spec);
     }
     // The seed-only fast path may skip recompiling the config ONLY when
-    // the config is a pure function of (variant, size): a config_factory
-    // or registry policy receives the trial seed and may legitimately
-    // vary with it, so those recompile (and rebuild nodes) every trial.
-    const bool recompile = new_cell || slot.spec.config_factory != nullptr ||
-                           !slot.spec.policy.empty() || sweep_->mutate != nullptr;
+    // the config is a pure function of (variant, size): a registry policy
+    // receives the trial seed and may legitimately vary with it, so it
+    // recompiles (and rebuilds nodes) every trial.
+    const bool recompile =
+        new_cell || !slot.spec.policy.empty() || sweep_->mutate != nullptr;
     if (slot.spec.shards > 1) return run_reused(slot.sharded, slot.spec, seed, recompile);
     return run_reused(slot.cluster, slot.spec, seed, recompile);
   }

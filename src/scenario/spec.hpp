@@ -329,13 +329,11 @@ struct ScenarioSpec {
   dt::DynatuneConfig dynatune{};
   /// K pinned for the Fix-K variant (paper: 10).
   int fix_k = 10;
-  /// Escape hatch: a custom cluster-config factory overriding `variant`
-  /// (custom policies, ablation knobs). Receives (servers, seed); the runner
-  /// still applies topology/transport/perf/workload from the spec on top.
-  std::function<cluster::ClusterConfig(std::size_t, std::uint64_t)> config_factory;
-  /// Name of a PolicyRegistry-registered policy, overriding `variant` (but
-  /// not `config_factory`). Registered policies carry their name into sink
-  /// schemas and are sweepable via SweepSpec::policies.
+  /// Name of a PolicyRegistry-registered policy, overriding `variant` — the
+  /// way to plug in a custom cluster config (custom policies, ablation
+  /// knobs). The runner still applies topology/transport/perf/workload from
+  /// the spec on top. Registered policies carry their name into sink schemas
+  /// and are sweepable via SweepSpec::policies.
   std::string policy;
 
   std::size_t servers = 5;
@@ -355,9 +353,9 @@ struct ScenarioSpec {
   /// Override the Raft timeout tick granularity (ablation).
   std::optional<Duration> raft_tick;
   /// Snapshot compaction knobs (see RaftConfig::snapshot_threshold /
-  /// snapshot_trailing). Applied only when set, so config_factory-supplied
-  /// configs keep their own values; unset + default factories means
-  /// compaction stays off (the reference-run default).
+  /// snapshot_trailing). Applied only when set, so registered policies keep
+  /// their own values; unset + built-in variants means compaction stays off
+  /// (the reference-run default).
   std::optional<std::size_t> snapshot_threshold;
   std::optional<std::size_t> snapshot_trailing;
   /// Per-server FIFO CPU for client requests (either > 0 enables it): a
@@ -367,18 +365,15 @@ struct ScenarioSpec {
   /// peak moves from 1/(R+C) to B/(R+B*C).
   Duration round_service_time{0};
   Duration command_service_time{0};
-  /// Leader-side group commit and its caps (see RaftConfig). Applied only
-  /// when set so config_factory-supplied configs keep their own values; the
-  /// default factories ship with batching off (the reference-run default).
+  /// Leader-side group commit (see RaftConfig). Applied only when set so
+  /// registered policies keep their own values; the built-in variants ship
+  /// with batching off (the reference-run default).
   std::optional<bool> group_commit;
-  std::optional<std::size_t> max_batch_commands;
-  std::optional<std::size_t> max_batch_bytes;
   /// Leader ReadIndex fast path for GETs (see RaftConfig::read_index).
   std::optional<bool> read_index;
   bool durable_log = true;
   /// CPU accounting (Fig 7b).
   std::optional<cluster::CostModel> perf_cost;
-  Duration perf_bin = 5s;
 
   // ---- Run shape ----
   Duration await_leader = 30s;

@@ -101,11 +101,4 @@ bool ShardedCluster::await_all_leaders(Duration timeout) {
   return true;
 }
 
-bool all_shards_available(ShardedCluster& sc) {
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    if (!cluster::service_available(sc.shard(g))) return false;
-  }
-  return true;
-}
-
 }  // namespace dyna::shard

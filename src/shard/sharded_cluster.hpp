@@ -101,7 +101,4 @@ class ShardedCluster {
   std::vector<std::unique_ptr<cluster::Cluster>> groups_;
 };
 
-/// True when every group can commit (service_available per group).
-[[nodiscard]] bool all_shards_available(ShardedCluster& sc);
-
 }  // namespace dyna::shard

@@ -137,11 +137,7 @@ void ClosedLoopPool::issue(std::size_t session) {
       if (remaining_ > 0) --remaining_;
       return;
     }
-    if (cfg_.think_time > Duration{0}) {
-      sim_->schedule_after(cfg_.think_time, [this, session] { issue(session); });
-    } else {
-      issue(session);
-    }
+    issue(session);
   };
 
   if (is_get) {

@@ -1,7 +1,6 @@
 // Closed-loop client pool at production intensity: N independent sessions,
 // each with its own network endpoint and KvClient, issuing one operation at a
-// time — the next op goes out only after the previous one completes (plus an
-// optional think time). Unlike the open-loop ramp, offered load self-paces at
+// time — the next op goes out only after the previous one completes. Unlike the open-loop ramp, offered load self-paces at
 // whatever the service can actually absorb, which is how real client fleets
 // behave at saturation and what makes group commit measurable: concurrent
 // sessions are exactly the commands a batch window can coalesce.
@@ -34,7 +33,6 @@ struct MixConfig {
   std::size_t keyspace = 10'000;  ///< keys drawn uniformly per session
   std::size_t value_bytes_min = 16;  ///< PUT value size, uniform in [min, max]
   std::size_t value_bytes_max = 16;
-  Duration think_time{0};         ///< delay between completion and next op
   Duration duration = 10s;        ///< measurement horizon (and ops-mode cap)
   /// When > 0, each session stops after this many completions instead of at
   /// the horizon (equivalence checks want a load-independent op count;

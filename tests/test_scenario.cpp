@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dynatune/policy.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sink.hpp"
 #include "test_support.hpp"
@@ -47,17 +48,19 @@ TEST(ScenarioSpec, VariantsCompileToNamedConfigs) {
 }
 
 TEST(ScenarioSpec, CustomFactoryOverridesVariant) {
+  scenario::PolicyRegistry::global().add(
+      "test-custom", [](std::size_t servers, std::uint64_t seed) {
+        return cluster::make_raft_low_config(servers, seed);
+      });
   scenario::ScenarioSpec spec;
   spec.variant = scenario::Variant::Raft;  // ignored
+  spec.policy = "test-custom";
   spec.servers = 3;
   spec.seed = 9;
-  spec.config_factory = [](std::size_t servers, std::uint64_t seed) {
-    cluster::ClusterConfig cfg = cluster::make_raft_low_config(servers, seed);
-    cfg.name = "custom";
-    return cfg;
-  };
-  const scenario::ScenarioResult r = scenario::ScenarioRunner::run(spec);
-  EXPECT_EQ(r.variant, "custom");
+  auto c = scenario::ScenarioRunner::materialize(spec);
+  EXPECT_EQ(c->config().raft.election_timeout, 100ms);  // Raft-Low's, not Raft's
+  const scenario::ScenarioResult r = scenario::ScenarioRunner::run_on(*c, spec);
+  EXPECT_EQ(r.variant, "test-custom");
   EXPECT_TRUE(r.leader_elected);
 }
 

@@ -11,7 +11,7 @@
 //   * Cluster / sweep — the same sweep produces byte-identical
 //     ScenarioResult vectors via (a) fresh construction per trial and
 //     (b) reused substrates, across thread counts 1/2/8, with policies both
-//     resettable (Static/Dynatune) and not (custom factory fallback).
+//     resettable (Static/Dynatune) and not (the node-rebuild fallback).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -276,6 +276,43 @@ TEST(ClusterReset, SnapshotStateDoesNotLeakAcrossTrials) {
   EXPECT_EQ(fresh, reused);
 }
 
+/// A user-supplied policy: it keeps ElectionPolicy's conservative
+/// resettable_for_trial() == false and counts its constructions.
+class CountedPolicy final : public raft::ElectionPolicy {
+ public:
+  explicit CountedPolicy(int& constructed) { ++constructed; }
+  [[nodiscard]] Duration election_timeout() const override { return 700ms; }
+  [[nodiscard]] Duration heartbeat_interval(NodeId) const override { return 100ms; }
+};
+
+TEST(ClusterReset, NonResettablePolicyRebuildsNodesAndMatchesFresh) {
+  // A seed-only reset keeps every node whose policy can rewind itself; a
+  // policy that cannot forces its node to be rebuilt, so reset(seed) must
+  // construct one new policy per server — and still match a fresh cluster.
+  int constructed = 0;
+  const auto config = [&constructed](std::uint64_t seed) {
+    cluster::ClusterConfig cfg = cluster::make_raft_config(3, seed);
+    cfg.links = constant_link(60ms, 2ms, 0.01);
+    cfg.policy_factory = [&constructed](NodeId) {
+      return std::make_unique<CountedPolicy>(constructed);
+    };
+    return cfg;
+  };
+  scenario::ScenarioSpec spec = reuse_spec(0);  // run shape only
+  spec.servers = 3;
+
+  cluster::Cluster reused(config(11));
+  (void)scenario::ScenarioRunner::run_on(reused, spec);
+  const int before = constructed;
+  reused.reset(22);
+  EXPECT_EQ(constructed - before, 3);
+  const scenario::ScenarioResult got = scenario::ScenarioRunner::run_on(reused, spec);
+  EXPECT_TRUE(got.leader_elected);
+
+  cluster::Cluster fresh(config(22));
+  EXPECT_EQ(scenario::ScenarioRunner::run_on(fresh, spec), got);
+}
+
 // ---- Sweeps ------------------------------------------------------------------------
 
 scenario::SweepSpec isolation_sweep() {
@@ -310,46 +347,23 @@ TEST(SweepReuse, FreshAndReusedAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SweepReuse, NonResettableCustomPolicyFallsBackAndStaysExact) {
-  // A config_factory policy is opaque to the harness (not resettable), so
-  // reuse must rebuild nodes per trial — and still match fresh exactly.
-  scenario::SweepSpec sweep = isolation_sweep();
-  sweep.variants.clear();
-  sweep.sizes = {3};
-  sweep.base.config_factory = [](std::size_t servers, std::uint64_t seed) {
-    cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
-    cfg.raft.election_timeout = 700ms;
-    cfg.name = "custom";
-    return cfg;
-  };
-
-  sweep.reuse_substrate = false;
-  const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
-  sweep.reuse_substrate = true;
-  const auto reused = scenario::ScenarioRunner::run_sweep(sweep);
-  ASSERT_EQ(fresh.size(), reused.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i], reused[i]) << "cell " << i;
-    EXPECT_EQ(fresh[i].variant, "custom");
-  }
-}
-
 TEST(SweepReuse, SeedDependentConfigFactoryRecompilesEveryTrial) {
-  // A config_factory may legitimately vary with the trial seed, so the
-  // reuse path must recompile the config per trial — the seed-only fast
-  // path would silently pin every trial of a cell to the first seed's
-  // config.
+  // A registered policy's factory may legitimately vary with the trial
+  // seed, so the reuse path must recompile the config per trial — the
+  // seed-only fast path would silently pin every trial of a cell to the
+  // first seed's config.
+  scenario::PolicyRegistry::global().add(
+      "test-seeded", [](std::size_t servers, std::uint64_t seed) {
+        cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
+        // Election timeout depends on the seed: 400..900 ms.
+        cfg.raft.election_timeout = std::chrono::milliseconds(400 + (seed % 6) * 100);
+        return cfg;
+      });
   scenario::SweepSpec sweep = isolation_sweep();
   sweep.variants.clear();
+  sweep.policies = {"test-seeded"};
   sweep.sizes = {3};
   sweep.seeds = 6;
-  sweep.base.config_factory = [](std::size_t servers, std::uint64_t seed) {
-    cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
-    // Election timeout depends on the seed: 400..900 ms.
-    cfg.raft.election_timeout = std::chrono::milliseconds(400 + (seed % 6) * 100);
-    cfg.name = "seeded";
-    return cfg;
-  };
 
   sweep.reuse_substrate = false;
   const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
